@@ -33,12 +33,17 @@ WALL_CLOCK = "wall_clock"
 MODES = (VIRTUAL_TIME, WALL_CLOCK)
 
 
-@dataclass(frozen=True)
 class MigrationMessage:
-    genome: Genome
-    fitness: float
-    src: str
-    seq: int
+    """One migrant in flight: its genome and fitness, the sending node and
+    the channel's send sequence number."""
+
+    __slots__ = ("genome", "fitness", "src", "seq")
+
+    def __init__(self, genome: Genome, fitness: float, src: str, seq: int):
+        self.genome = genome
+        self.fitness = fitness
+        self.src = src
+        self.seq = seq
 
 
 class Channel:
@@ -166,12 +171,13 @@ class VirtualScheduler:
     def __iter__(self):
         heap = [(period, idx) for idx, period in enumerate(self.periods)]
         heapq.heapify(heap)
-        push = heapq.heappush
-        pop = heapq.heappop
+        replace = heapq.heapreplace
         periods = self.periods
         while True:
-            micro, idx = pop(heap)
-            push(heap, (micro + periods[idx], idx))
+            # entries are distinct (one per node), so the order of events
+            # does not depend on how the heap is rearranged
+            micro, idx = heap[0]
+            replace(heap, (micro + periods[idx], idx))
             yield micro, idx
 
 
@@ -293,7 +299,7 @@ class _GaIsland(_Island):
         return ga_mod.select_emigrant(self.pop, self.rng)
 
     def _apply_immigrant(self, msg: MigrationMessage) -> None:
-        ga_mod.immigrate(self.pop, Individual(msg.genome, msg.fitness))
+        ga_mod.immigrate(self.pop, msg)
         self.stats.immigrants_received += 1
         if msg.fitness > self.best_fitness:
             self.best_fitness = msg.fitness
@@ -424,12 +430,13 @@ def _run_virtual(config: RunConfig) -> RunResult:
                     break
             if island.migration_due(island.stats.iterations):
                 island.migrate(budget)
+                # global_best is below the optimum here unless it just rose
                 if island.best_fitness > global_best:
                     global_best = island.best_fitness
                     trace.append((scheduler.ticks(micro), global_best))
-                if is_optimum(global_best, problem):
-                    terminate_broadcast(stop, "success")
-                    break
+                    if is_optimum(global_best, problem):
+                        terminate_broadcast(stop, "success")
+                        break
 
     return _finalize(
         config, islands, channels, budget, scheduler.ticks(elapsed_micro), global_best, trace

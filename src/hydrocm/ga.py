@@ -14,7 +14,7 @@ from .records import IslandStats, RunResult
 from .seeding import node_rng
 
 
-@dataclass
+@dataclass(slots=True)
 class Individual:
     """Genome plus its cached fitness."""
 
@@ -57,9 +57,13 @@ class GaParams:
 class Population:
     """Fixed-size population backed by flat arrays; `t` counts steady-state
     iterations. Owned by exactly one execution unit; not safe for
-    concurrent mutation."""
+    concurrent mutation.
 
-    __slots__ = ("genomes", "fitness", "t")
+    The index of the worst member is cached. Every write goes through
+    `replace_worst`, which keeps the cache equal to `np.argmin` (first
+    minimum on ties) of the fitness array."""
+
+    __slots__ = ("genomes", "fitness", "t", "_worst")
 
     def __init__(self, genomes: np.ndarray, fitness: np.ndarray, t: int = 0):
         if genomes.shape[0] != fitness.shape[0]:
@@ -67,6 +71,7 @@ class Population:
         self.genomes = genomes
         self.fitness = fitness
         self.t = t
+        self._worst: int | None = None
 
     def __len__(self) -> int:
         return self.genomes.shape[0]
@@ -79,7 +84,21 @@ class Population:
         return int(np.argmax(self.fitness))
 
     def worst_index(self) -> int:
-        return int(np.argmin(self.fitness))
+        w = self._worst
+        if w is None:
+            w = self._worst = int(np.argmin(self.fitness))
+        return w
+
+    def replace_worst(self, genome: Genome, fitness: float) -> None:
+        """Overwrite the worst member. The cached index stays valid when
+        the new fitness is not above the old worst: that slot is still the
+        first minimum."""
+        w = self.worst_index()
+        old = self.fitness[w]
+        self.genomes[w] = genome
+        self.fitness[w] = fitness
+        if fitness > old:
+            self._worst = None
 
     def best_fitness(self) -> float:
         return float(self.fitness.max())
@@ -101,15 +120,16 @@ def init_population(params: GaParams, problem, rng) -> Population:
 
 def _tournament_index(pop: Population, size: int, rng) -> int:
     """Index of the fittest of `size` draws with replacement; ties keep the
-    first-drawn."""
+    first-drawn. Each draw is `int(u * n)` for one uniform u, the value
+    `BufferedRng.integers(0, n)` returns."""
     fitness = pop.fitness
-    n = pop.size
-    best = rng.integers(0, n)
+    n = fitness.shape[0]
+    best = int(rng.random() * n)
     for _ in range(size - 1):
-        j = rng.integers(0, n)
+        j = int(rng.random() * n)
         if fitness[j] > fitness[best]:
             best = j
-    return int(best)
+    return best
 
 
 def tournament_select(pop: Population, rng, tournament_size: int = 2) -> Individual:
@@ -127,19 +147,21 @@ def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome
     length = a.shape[0]
     if rng.random() >= p_crossover or length < 2:
         return a.copy()
-    cut = rng.integers(1, length)
-    child = np.empty(length, dtype=np.uint8)
+    cut = 1 + int(rng.random() * (length - 1))
+    child = b.copy()
     child[:cut] = a[:cut]
-    child[cut:] = b[cut:]
     return child
 
 
-def mutate(genome: Genome, p_per_bit: float, rng) -> Genome:
-    """Flip each bit independently with probability p_per_bit."""
+def mutate(genome: Genome, p_per_bit: float, rng, out: Genome | None = None) -> Genome:
+    """Flip each bit independently with probability p_per_bit. The result
+    goes to `out` when given (which may be `genome` itself), else to a new
+    array."""
     if not 0.0 <= p_per_bit <= 1.0:
         raise ValueError(f"p_per_bit must be in [0,1], got {p_per_bit}")
     flips = rng.random(genome.shape[0]) < p_per_bit
-    return genome ^ flips.view(np.uint8)  # bool is 1 byte; view avoids a cast
+    # bool is 1 byte; the view avoids a cast
+    return np.bitwise_xor(genome, flips.view(np.uint8), out=out)
 
 
 def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
@@ -151,12 +173,10 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     i = _tournament_index(pop, params.tournament_size, rng)
     j = _tournament_index(pop, params.tournament_size, rng)
     child = one_point_crossover(pop.genomes[i], pop.genomes[j], params.p_crossover, rng)
-    child = mutate(child, params.p_mutation_per_bit, rng)
+    mutate(child, params.p_mutation_per_bit, rng, out=child)
     f = problem.evaluate(child)
-    w = int(np.argmin(pop.fitness))
-    if f >= pop.fitness[w]:
-        pop.genomes[w] = child
-        pop.fitness[w] = f
+    if f >= pop.fitness[pop.worst_index()]:
+        pop.replace_worst(child, f)
     pop.t += 1
     return f
 
@@ -168,19 +188,19 @@ def ssga_step(pop: Population, params: GaParams, problem, rng) -> tuple[Populati
     return pop, 1
 
 
-def immigrate(pop: Population, incoming: Individual) -> Population:
-    """Unconditionally replace the worst member with the immigrant."""
-    w = pop.worst_index()
-    pop.genomes[w] = incoming.genome
-    pop.fitness[w] = incoming.fitness
+def immigrate(pop: Population, incoming) -> Population:
+    """Unconditionally replace the worst member with the immigrant, an
+    `Individual` or anything else with `genome` and `fitness`."""
+    pop.replace_worst(incoming.genome, incoming.fitness)
     return pop
 
 
 def select_emigrant(pop: Population, rng) -> Individual:
-    """Uniformly random member, copied (the population is unchanged)."""
+    """Uniformly random member, copied (the population is unchanged); the
+    index is drawn as in `_tournament_index`."""
     if pop.size == 0:
         raise ValueError("population is empty")
-    return pop.member(rng.integers(0, pop.size))
+    return pop.member(int(rng.random() * pop.size))
 
 
 def run_panmictic_ssga(params: GaParams, problem, budget: int, seed: int) -> RunResult:

@@ -6,7 +6,7 @@ All operations are pure; genomes are 1-D numpy uint8 arrays of 0/1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,8 @@ _MMDP_SUBFUNCTION = np.array(
 )
 
 MMDP_BLOCK_BITS = 6
+
+_BLOCK_ONES = np.ones(MMDP_BLOCK_BITS, dtype=np.uint8)
 
 
 def bits(s: str) -> Genome:
@@ -83,8 +85,9 @@ def mmdp_fitness(genome: Genome, inst: MmdpInstance) -> float:
     """Sum of the deception subfunction over consecutive disjoint 6-bit blocks."""
     if genome.shape[0] != inst.length:
         raise ValueError(f"genome length {genome.shape[0]} != {inst.length} (k={inst.k})")
-    u = genome.reshape(inst.k, MMDP_BLOCK_BITS).sum(axis=1)
-    return float(_MMDP_SUBFUNCTION.take(u).sum())
+    u = genome.reshape(inst.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES)
+    # np.add.reduce is what ndarray.sum calls: the same pairwise float sum
+    return float(np.add.reduce(_MMDP_SUBFUNCTION.take(u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +99,9 @@ class SubsetSumInstance:
     weights: np.ndarray
     capacity: int
     known_optimum: int
+    #: float64 copy of `weights` for a BLAS dot product, exact because
+    #: every partial sum is an integer far below 2**53
+    weights_f64: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.int64)
@@ -108,6 +114,7 @@ class SubsetSumInstance:
             raise ValueError("capacity must lie in [0, sum(weights)]")
         if not 0 <= self.known_optimum <= self.capacity:
             raise ValueError("known_optimum must lie in [0, capacity]")
+        object.__setattr__(self, "weights_f64", w.astype(np.float64))
 
     @property
     def length(self) -> int:
@@ -132,7 +139,7 @@ def ssp_fitness(genome: Genome, inst: SubsetSumInstance) -> float:
     """
     if genome.shape[0] != inst.length:
         raise ValueError(f"genome length {genome.shape[0]} != {inst.length} weights")
-    s = int(inst.weights @ genome)
+    s = int(inst.weights_f64.dot(genome))
     c = inst.capacity
     if s <= c:
         return float(s)

@@ -40,6 +40,8 @@ class SaParams:
             raise ValueError("geometric schedule_rate must be in (0, 1]")
         if self.t0 is not None and self.t0 <= 0:
             raise ValueError("t0 must be positive")
+        if self.p_perturb_per_bit is not None and not 0.0 < self.p_perturb_per_bit <= 1.0:
+            raise ValueError(f"p_perturb_per_bit must be in (0,1], got {self.p_perturb_per_bit}")
 
     def resolved_for(self, length: int) -> "SaParams":
         if self.p_perturb_per_bit is not None:

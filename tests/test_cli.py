@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import pytest
 import yaml
 
 from hydrocm.cli import main
@@ -107,6 +108,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_records(out / "records.csv")
         assert all(r.success for r in rows)
+
+    @pytest.mark.parametrize("rate", [0, 1.5])
+    def test_bad_sa_perturb_rate_is_config_error(self, tmp_path, capsys, rate):
+        cfg = write_config(
+            tmp_path / "exp.yaml", setup={"kind": "panmictic_sa"}, sa={"p_perturb_per_bit": rate}
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'sa'" in capsys.readouterr().err
 
     def test_exit_zero_even_with_failures(self, tmp_path):
         cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, budget=200, repetitions=2)

@@ -8,6 +8,7 @@ from hydrocm.ga import (
     GaParams,
     Individual,
     Population,
+    _offspring_step,
     immigrate,
     init_population,
     mutate,
@@ -198,6 +199,30 @@ class TestSsgaStep:
         for _ in range(500):
             ssga_step(pop, params, prob, rng)
             assert pop.size == 8
+
+
+class TestWorstIndexCache:
+    # few distinct values, so the population is full of ties
+    tied = st.sampled_from([0.0, 0.360384, 0.640576, 1.0])
+
+    @given(
+        st.lists(tied, min_size=2, max_size=12),
+        st.lists(st.one_of(st.none(), tied), max_size=80),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_first_argmin_after_every_write(self, fits, ops, seed):
+        # None is an offspring step, a number an immigrant of that fitness
+        prob = MmdpInstance(k=1)
+        params = GaParams().resolved_for(prob.length)
+        pop = make_population(fits, length=prob.length)
+        rng = node_rng(seed)
+        assert pop.worst_index() == int(np.argmin(pop.fitness))
+        for op in ops:
+            if op is None:
+                _offspring_step(pop, params, prob, rng)
+            else:
+                immigrate(pop, Individual(np.zeros(prob.length, dtype=np.uint8), op))
+            assert pop.worst_index() == int(np.argmin(pop.fitness))
 
 
 class TestImmigrate:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrocm.problems import (
+    _MMDP_SUBFUNCTION,
     MmdpInstance,
     SubsetSumInstance,
     bits,
@@ -100,6 +101,50 @@ class TestMmdpFitness:
         assert 0.0 <= f <= k
         blocks_uniform = all(int(b.sum()) in (0, 6) for b in g.reshape(k, 6))
         assert (f == float(k)) == blocks_uniform
+
+
+class TestFitnessBitIdentity:
+    """The fitness functions must return the same doubles as the plain
+    numpy expressions they replaced, or golden records would drift."""
+
+    @pytest.mark.parametrize("k", [1, 5, 8, 9, 25])  # around numpy's 8-way pairwise sum
+    @given(data=st.data())
+    def test_mmdp_equals_block_sum_reference(self, k, data):
+        g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
+        reference = float(_MMDP_SUBFUNCTION.take(g.reshape(k, 6).sum(axis=1)).sum())
+        assert mmdp_fitness(g, MmdpInstance(k=k)).hex() == reference.hex()
+
+    @staticmethod
+    def ssp_reference(g, inst):
+        s = int(inst.weights @ g)  # int64 arithmetic
+        c = inst.capacity
+        return float(s) if s <= c else float(max(0, c - (s - c)))
+
+    @given(st.integers(2, 300), st.integers(0, 2**31 - 1), st.data())
+    def test_ssp_equals_int64_reference(self, n, seed, data):
+        inst = generate_ssp_instance(n, seed)
+        g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+        assert ssp_fitness(g, inst) == self.ssp_reference(g, inst)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            generate_ssp_instance(2048, seed=7),
+            # sums past 2**24, where a single-precision dot would round
+            SubsetSumInstance(weights=np.full(4096, 9_999), capacity=9_999 * 2048, known_optimum=9_999 * 2048),
+        ],
+        ids=["n2048", "heavy"],
+    )
+    def test_ssp_over_capacity_at_full_scale(self, inst):
+        n = inst.length
+        rng = np.random.default_rng(3)
+        genomes = [np.ones(n, np.uint8), np.zeros(n, np.uint8)]
+        genomes += [(rng.random(n) < p).astype(np.uint8) for p in (0.3, 0.5, 0.7, 0.9) for _ in range(25)]
+        over = 0
+        for g in genomes:
+            over += int(inst.weights @ g) > inst.capacity
+            assert ssp_fitness(g, inst) == self.ssp_reference(g, inst)
+        assert over >= 50
 
 
 class TestSspFitness:

@@ -29,6 +29,17 @@ def fresh_state(problem, seed=1, **params_kw):
     return state, params, rng, evals
 
 
+class TestSaParams:
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
+    def test_perturb_rate_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="p_perturb_per_bit"):
+            SaParams(p_perturb_per_bit=p)
+
+    @pytest.mark.parametrize("p", [1e-6, 1.0, None])
+    def test_perturb_rate_in_unit_interval_accepted(self, p):
+        assert SaParams(p_perturb_per_bit=p).p_perturb_per_bit == p
+
+
 class TestPerturb:
     def test_rate_one_is_complement(self, rng):
         g = np.array([1, 0, 0, 1], dtype=np.uint8)
