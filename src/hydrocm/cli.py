@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation findings, 2 input error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,23 @@ EXIT_IO = 3
 SETUPS = ("ethane_g", "ethane_s", "ring", "panmictic_ssga", "panmictic_sa", "custom")
 
 MODE_NAMES = {"virtual": VIRTUAL_TIME, "wall": WALL_CLOCK}
+
+#: Every top-level key an experiment config may hold.
+CONFIG_KEYS = (
+    "problem",
+    "setup",
+    "repetitions",
+    "budget",
+    "mode",
+    "master_seed",
+    "migration_frequency",
+    "migration_count",
+    "slow_factor",
+    "ga",
+    "sa",
+    "multiplicity_as_frequency",
+    "wall_throttle_ms",
+)
 
 
 class ConfigError(ValueError):
@@ -77,7 +95,13 @@ def _require(data: dict, key: str, fieldname: str | None = None):
 
 
 def _as_int(value, fieldname: str, minimum=None) -> int:
+    """`value` as an int. An integral float such as 2.0 passes; 2.7, a
+    bool or a non-numeric string is a ConfigError, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     try:
+        if isinstance(value, (bool, float)):
+            raise TypeError
         out = int(value)
     except (TypeError, ValueError):
         raise ConfigError(fieldname, f"expected an integer, got {value!r}") from None
@@ -170,6 +194,9 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
         raise ConfigError("config", "top level must be a mapping")
     data = dict(data)
     data.update(overrides or {})
+    for key in data:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(str(key), "unknown key")
 
     mode_name = data.get("mode", "virtual")
     if mode_name in MODE_NAMES:
@@ -179,9 +206,12 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     else:
         raise ConfigError("mode", f"must be 'virtual' or 'wall', got {mode_name!r}")
 
-    slow_factor = float(data.get("slow_factor", 0.35))
-    if slow_factor <= 0:
-        raise ConfigError("slow_factor", "must be positive")
+    slow_factor = data.get("slow_factor", 0.35)
+    if isinstance(slow_factor, bool) or not isinstance(slow_factor, (int, float)):
+        raise ConfigError("slow_factor", f"expected a number, got {slow_factor!r}")
+    if not (math.isfinite(slow_factor) and slow_factor > 0):
+        raise ConfigError("slow_factor", f"must be positive and finite, got {slow_factor!r}")
+    slow_factor = float(slow_factor)
     problem, problem_label = _build_problem(_require(data, "problem"), path.parent)
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
 

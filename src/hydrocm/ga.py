@@ -5,6 +5,7 @@ iteration, which keeps numerical-effort accounting exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +39,10 @@ class GaParams:
     tournament_size: int = 2
 
     def __post_init__(self):
+        for name in ("pop_size", "tournament_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.pop_size < 2:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
         if not 0.0 <= self.p_crossover <= 1.0:
@@ -156,12 +161,32 @@ def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome
 def mutate(genome: Genome, p_per_bit: float, rng, out: Genome | None = None) -> Genome:
     """Flip each bit independently with probability p_per_bit. The result
     goes to `out` when given (which may be `genome` itself), else to a new
-    array."""
+    array.
+
+    The gaps between flips are sampled instead of the bits: the number of
+    bits skipped before the next flip is geometric, `int(log(1 - u) /
+    log1p(-p))` for one uniform u, so a call costs about L*p + 1 scalar
+    draws rather than L."""
     if not 0.0 <= p_per_bit <= 1.0:
         raise ValueError(f"p_per_bit must be in [0,1], got {p_per_bit}")
-    flips = rng.random(genome.shape[0]) < p_per_bit
-    # bool is 1 byte; the view avoids a cast
-    return np.bitwise_xor(genome, flips.view(np.uint8), out=out)
+    if out is None:
+        out = genome.copy()
+    elif out is not genome:
+        out[:] = genome
+    if p_per_bit == 0.0:
+        return out
+    if p_per_bit == 1.0:
+        return np.bitwise_xor(out, 1, out=out)
+    length = out.shape[0]
+    log_q = math.log1p(-p_per_bit)
+    log, random = math.log, rng.random
+    bits = memoryview(out)  # scalar writes without a numpy call each
+    # u is in [0, 1), so log(1 - u) is finite
+    i = int(log(1.0 - random()) / log_q)
+    while i < length:
+        bits[i] ^= 1
+        i += 1 + int(log(1.0 - random()) / log_q)
+    return out
 
 
 def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:

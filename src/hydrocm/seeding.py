@@ -26,25 +26,27 @@ class BufferedRng:
     """Duck-typed subset of numpy Generator with block-buffered scalar draws.
 
     Scalar `random()` and `integers(low, high)` calls come out of a
-    pre-drawn uniform block, which is much cheaper than a numpy call per
-    draw. Array-shaped requests go straight to the wrapped generator.
-    The consumed stream is a pure function of the seed, so determinism
-    is preserved.
+    pre-drawn block of `block` uniforms, kept as a list of Python floats:
+    indexing a list and doing arithmetic on a Python float is much cheaper
+    than a numpy call, or numpy scalar arithmetic, per draw. The values are
+    those of `generator.random(block)`. Array-shaped requests go straight
+    to the wrapped generator. The consumed stream is a pure function of the
+    seed, so determinism is preserved.
     """
 
     __slots__ = ("generator", "_buf", "_i", "_block")
 
-    def __init__(self, generator: np.random.Generator, block: int = 8192):
+    def __init__(self, generator: np.random.Generator, block: int = 1024):
         self.generator = generator
         self._block = block
-        self._buf = generator.random(block)
+        self._buf = generator.random(block).tolist()
         self._i = 0
 
     def random(self, size=None):
         if size is None:
             i = self._i
             if i >= self._block:
-                self._buf = self.generator.random(self._block)
+                self._buf = self.generator.random(self._block).tolist()
                 i = 0
             self._i = i + 1
             return self._buf[i]

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from hydrocm.cli import main as cli_main
-from hydrocm.engine import RunConfig, VirtualScheduler, run_experiment
+from hydrocm.engine import VirtualScheduler
 from hydrocm.ga import GaParams, Individual, immigrate, init_population, ssga_step
 from hydrocm.problems import (
     MmdpInstance,
@@ -24,8 +24,9 @@ from hydrocm.problems import (
 from hydrocm.sa import SaParams, accept, init_sa_state, inject_immigrant, sa_step, update_temperature
 from hydrocm.seeding import node_rng
 from hydrocm.stats import mann_whitney_u, speedup
-from hydrocm.topology import ethane_topology, random_hydrocarbon, ring_topology
+from hydrocm.topology import random_hydrocarbon
 
+from effort_cells import CRITERION_3_CELLS, effort
 from test_stats import mann_whitney_oracle
 
 
@@ -57,32 +58,10 @@ def test_criterion_2_speedup_reproduction():
     report(2, "speedup arithmetic reproduction", max(errors) <= 0.01, f"max error {max(errors):.4f}")
 
 
-def _setup_topologies():
-    return {
-        "ethane_g": ethane_topology("G"),
-        "ethane_s": ethane_topology("S"),
-        "ring8": ring_topology(8, {0, 3}),
-    }
-
-
-def _solve_count(topology, problem, budget, n_runs=100, seed0=1000):
-    solved = 0
-    for s in range(seed0, seed0 + n_runs):
-        result = run_experiment(
-            RunConfig(topology=topology, problem=problem, evaluation_budget=budget, seed=s)
-        )
-        solved += result.success
-    return solved
-
-
 def test_criterion_3_desk_scale_solve_rates():
-    mmdp = MmdpInstance(k=5)
-    ssp = generate_ssp_instance(16, seed=11)
-    outcomes = {}
-    for name, topo in _setup_topologies().items():
-        outcomes[f"{name}/mmdp"] = _solve_count(topo, mmdp, budget=500_000)
-    for name, topo in _setup_topologies().items():
-        outcomes[f"{name}/ssp"] = _solve_count(topo, ssp, budget=100_000)
+    # seeds 1000-1099, budgets 500k (MMDP k=5) and 100k (SSP n=16, instance
+    # seed 11); the runs are shared with the random-stream gate
+    outcomes = {cell: sum(success for _, success in effort(cell)) for cell in CRITERION_3_CELLS}
     ok = all(v >= 95 for v in outcomes.values())
     detail = ", ".join(f"{k}={v}/100" for k, v in outcomes.items())
     report(3, "desk-scale solve rates", ok, detail)

@@ -117,6 +117,34 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'sa'" in capsys.readouterr().err
 
+    def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.yaml", migraton_frequency=7)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'migraton_frequency': unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["migration_count", "budget", "repetitions"])
+    def test_non_integral_number_is_config_error(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path / "exp.yaml", **{field: 2.7})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["migration_count", "budget", "repetitions"])
+    def test_integral_number_accepted(self, tmp_path, field):
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_s"}, **{field: 2})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("ga", [{"pop_size": 2.5}, {"tournament_size": 1.5}, {"pop_size": True}])
+    def test_non_integer_ga_size_is_config_error(self, tmp_path, capsys, ga):
+        cfg = write_config(tmp_path / "exp.yaml", ga=ga)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'ga'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["fast", float("nan"), float("inf"), 0, True])
+    def test_bad_slow_factor_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "exp.yaml", slow_factor=value)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'slow_factor'" in capsys.readouterr().err
+
     def test_exit_zero_even_with_failures(self, tmp_path):
         cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, budget=200, repetitions=2)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -28,6 +28,19 @@ def make_population(fitness_values, length=8):
     return Population(genomes, np.array(fitness_values, dtype=np.float64))
 
 
+class TestGaParams:
+    @pytest.mark.parametrize(
+        "kwargs", [{"pop_size": 2.5}, {"pop_size": True}, {"tournament_size": 1.5}, {"tournament_size": False}]
+    )
+    def test_sizes_must_be_integers(self, kwargs):
+        with pytest.raises(TypeError, match="must be an integer"):
+            GaParams(**kwargs)
+
+    def test_integer_sizes_accepted(self):
+        params = GaParams(pop_size=8, tournament_size=3)
+        assert (params.pop_size, params.tournament_size) == (8, 3)
+
+
 class TestInitPopulation:
     def test_deterministic(self):
         prob = MmdpInstance(k=2)
@@ -135,6 +148,40 @@ class TestMutate:
     def test_rejects_bad_rate(self, rng):
         with pytest.raises(ValueError):
             mutate(np.zeros(4, np.uint8), 1.5, rng)
+
+    @pytest.mark.parametrize("length", [30, 150, 2048])
+    def test_flip_distribution(self, length):
+        # every bit flips on its own with probability p: the flip count is
+        # Binomial(L, p) and each bit's rate is p
+        p = 4.0 / length
+        calls = 20_000
+        rng = node_rng(37)
+        g = np.zeros(length, dtype=np.uint8)
+        per_bit = np.zeros(length)
+        counts = np.empty(calls)
+        for c in range(calls):
+            child = mutate(g, p, rng)
+            per_bit += child
+            counts[c] = child.sum()
+        assert abs(counts.mean() - length * p) <= 0.05 * length * p
+        assert abs(counts.var() - length * p * (1 - p)) <= 0.05 * length * p * (1 - p)
+        stderr = np.sqrt(p * (1 - p) / calls)
+        assert np.all(np.abs(per_bit / calls - p) <= 5 * stderr)
+
+    def test_out_rules(self):
+        g = node_rng(3).integers(0, 2, size=300, dtype=np.uint8)
+        before = g.copy()
+        fresh = mutate(g, 0.05, node_rng(41))
+        assert np.array_equal(g, before)
+        assert not np.array_equal(fresh, before)
+
+        separate = np.empty_like(g)
+        assert mutate(g, 0.05, node_rng(41), out=separate) is separate
+        assert np.array_equal(separate, fresh)
+        assert np.array_equal(g, before)
+
+        assert mutate(g, 0.05, node_rng(41), out=g) is g
+        assert np.array_equal(g, fresh)
 
 
 class TestSsgaStep:
