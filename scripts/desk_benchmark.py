@@ -15,32 +15,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hydrocm.engine import RunConfig, run_experiment
-from hydrocm.ga import GaParams, run_panmictic_ssga
 from hydrocm.problems import MmdpInstance, generate_ssp_instance
 from hydrocm.records import record_from_result, write_records
-from hydrocm.sa import SaParams, run_panmictic_sa
 from hydrocm.stats import mann_whitney_u, summarize_experiment
-from hydrocm.topology import ethane_topology, ring_topology
+from hydrocm.topology import ethane_topology, panmictic_topology, ring_topology
 
 
 def run_setup(setup, problem, budget, reps, seed0):
+    topo = {
+        "ethane_g": ethane_topology("G"),
+        "ethane_s": ethane_topology("S"),
+        "ring8": ring_topology(8, {0, 3}),
+        "panmictic_ssga": panmictic_topology("ssga"),
+        "panmictic_sa": panmictic_topology("sa"),
+    }[setup]
     rows = []
     for rep in range(reps):
-        seed = seed0 + rep
-        if setup == "panmictic_ssga":
-            result = run_panmictic_ssga(GaParams(), problem, budget, seed)
-        elif setup == "panmictic_sa":
-            result = run_panmictic_sa(SaParams(), problem, budget, seed)
-        else:
-            topo = {
-                "ethane_g": ethane_topology("G"),
-                "ethane_s": ethane_topology("S"),
-                "ring8": ring_topology(8, {0, 3}),
-            }[setup]
-            result = run_experiment(
-                RunConfig(topology=topo, problem=problem, evaluation_budget=budget, seed=seed)
-            )
-        rows.append(record_from_result(result))
+        config = RunConfig(topology=topo, problem=problem, evaluation_budget=budget, seed=seed0 + rep)
+        rows.append(record_from_result(run_experiment(config)))
     return rows
 
 

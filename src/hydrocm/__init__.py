@@ -7,11 +7,11 @@ statistics harness.
 """
 
 from .engine import RunConfig, run_experiment
-from .ga import GaParams, run_panmictic_ssga
+from .ga import GaParams
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance
 from .records import RunResult
-from .sa import SaParams, run_panmictic_sa
-from .topology import TopologySpec, ethane_topology, ring_topology
+from .sa import SaParams
+from .topology import TopologySpec, ethane_topology, panmictic_topology, ring_topology
 
 __all__ = [
     "GaParams",
@@ -23,8 +23,7 @@ __all__ = [
     "TopologySpec",
     "ethane_topology",
     "generate_ssp_instance",
+    "panmictic_topology",
     "ring_topology",
     "run_experiment",
-    "run_panmictic_sa",
-    "run_panmictic_ssga",
 ]

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import yaml
 
-from .engine import MODES, VIRTUAL_TIME, WALL_CLOCK, RunConfig, run_experiment
-from .ga import GaParams, run_panmictic_ssga
+from .engine import RunConfig, initialization_cost, run_experiment
+from .ga import GaParams
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance, save_instance
 from .records import (
     read_records,
@@ -23,13 +23,13 @@ from .records import (
     write_records,
     write_trace,
 )
-from .sa import SaParams, run_panmictic_sa
+from .sa import SaParams
 from .stats import SummaryRow, mann_whitney_u, mean_std, summarize_experiment
 from .topology import (
-    NodeSpec,
     TopologySpec,
     ethane_topology,
     load_topology,
+    panmictic_topology,
     ring_topology,
     validate_topology,
 )
@@ -41,9 +41,8 @@ EXIT_IO = 3
 
 SETUPS = ("ethane_g", "ethane_s", "ring", "panmictic_ssga", "panmictic_sa", "custom")
 
-MODE_NAMES = {"virtual": VIRTUAL_TIME, "wall": WALL_CLOCK}
-
-#: Every top-level key an experiment config may hold.
+#: Every top-level key an experiment config may hold. `mode` is kept so that
+#: existing configs load; `virtual` is its only value.
 CONFIG_KEYS = (
     "problem",
     "setup",
@@ -57,7 +56,6 @@ CONFIG_KEYS = (
     "ga",
     "sa",
     "multiplicity_as_frequency",
-    "wall_throttle_ms",
 )
 
 
@@ -74,10 +72,9 @@ class ExperimentConfig:
     problem: object
     problem_label: str
     setup: str
-    topology: TopologySpec | None
+    topology: TopologySpec
     repetitions: int
     budget: int
-    mode: str
     master_seed: int
     migration_frequency: int = 50
     migration_count: int = 1
@@ -85,7 +82,6 @@ class ExperimentConfig:
     ga: GaParams | None = None
     sa: SaParams | None = None
     multiplicity_as_frequency: bool = False
-    wall_throttle_ms: float = 0.0
 
 
 def _require(data: dict, key: str, fieldname: str | None = None):
@@ -159,7 +155,7 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
         if violations:
             raise ConfigError("setup.topology", "; ".join(violations))
         return kind, topo
-    return kind, None  # panmictic setups
+    return kind, panmictic_topology(kind.removeprefix("panmictic_"))
 
 
 def _build_ga(data) -> GaParams | None:
@@ -198,13 +194,11 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
         if key not in CONFIG_KEYS:
             raise ConfigError(str(key), "unknown key")
 
-    mode_name = data.get("mode", "virtual")
-    if mode_name in MODE_NAMES:
-        mode = MODE_NAMES[mode_name]
-    elif mode_name in MODES:
-        mode = mode_name
-    else:
-        raise ConfigError("mode", f"must be 'virtual' or 'wall', got {mode_name!r}")
+    if data.get("mode", "virtual") != "virtual":
+        raise ConfigError("mode", f"must be 'virtual', got {data['mode']!r}")
+    multiplicity = data.get("multiplicity_as_frequency", False)
+    if not isinstance(multiplicity, bool):
+        raise ConfigError("multiplicity_as_frequency", f"expected true or false, got {multiplicity!r}")
 
     slow_factor = data.get("slow_factor", 0.35)
     if isinstance(slow_factor, bool) or not isinstance(slow_factor, (int, float)):
@@ -214,6 +208,11 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     slow_factor = float(slow_factor)
     problem, problem_label = _build_problem(_require(data, "problem"), path.parent)
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
+    ga, sa = _build_ga(data.get("ga")), _build_sa(data.get("sa"))
+    cost = initialization_cost(topology, ga, sa)
+    budget = _as_int(_require(data, "budget"), "budget", minimum=1)
+    if budget < cost:
+        raise ConfigError("budget", f"must be >= {cost}, the cost of initializing {setup}, got {budget}")
 
     return ExperimentConfig(
         problem=problem,
@@ -221,44 +220,30 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
         setup=setup,
         topology=topology,
         repetitions=_as_int(data.get("repetitions", 100), "repetitions", minimum=1),
-        budget=_as_int(_require(data, "budget"), "budget", minimum=1),
-        mode=mode,
+        budget=budget,
         master_seed=_as_int(data.get("master_seed", 0), "master_seed"),
         migration_frequency=_as_int(
             data.get("migration_frequency", 50), "migration_frequency", minimum=1
         ),
         migration_count=_as_int(data.get("migration_count", 1), "migration_count", minimum=1),
         slow_factor=slow_factor,
-        ga=_build_ga(data.get("ga")),
-        sa=_build_sa(data.get("sa")),
-        multiplicity_as_frequency=bool(data.get("multiplicity_as_frequency", False)),
-        wall_throttle_ms=float(data.get("wall_throttle_ms", 0.0)),
+        ga=ga,
+        sa=sa,
+        multiplicity_as_frequency=multiplicity,
     )
 
 
 def _run_one(cfg: ExperimentConfig, seed: int):
-    panmictic = cfg.setup in ("panmictic_ssga", "panmictic_sa")
-    if panmictic and cfg.mode == VIRTUAL_TIME:
-        if cfg.setup == "panmictic_ssga":
-            return run_panmictic_ssga(cfg.ga or GaParams(), cfg.problem, cfg.budget, seed)
-        return run_panmictic_sa(cfg.sa or SaParams(), cfg.problem, cfg.budget, seed)
-    topology = cfg.topology
-    if panmictic:
-        # wall mode: a single-island run is the same algorithm with real timestamps
-        algorithm = "ssga" if cfg.setup == "panmictic_ssga" else "sa"
-        topology = TopologySpec((NodeSpec("panmictic", "carbon", algorithm, 1.0),), ())
     run_config = RunConfig(
-        topology=topology,
+        topology=cfg.topology,
         problem=cfg.problem,
         evaluation_budget=cfg.budget,
         seed=seed,
         migration_frequency=cfg.migration_frequency,
         migration_count=cfg.migration_count,
-        mode=cfg.mode,
         ga=cfg.ga,
         sa=cfg.sa,
         multiplicity_as_frequency=cfg.multiplicity_as_frequency,
-        wall_throttle_ms=cfg.wall_throttle_ms,
     )
     return run_experiment(run_config)
 
@@ -288,8 +273,6 @@ def cmd_run(args) -> int:
         overrides["master_seed"] = args.seed
     if args.reps is not None:
         overrides["repetitions"] = args.reps
-    if args.mode is not None:
-        overrides["mode"] = args.mode
     if args.budget is not None:
         overrides["budget"] = args.budget
     try:
@@ -439,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
     p_run.add_argument("--reps", type=int, default=None, help="override repetitions")
     p_run.add_argument("--budget", type=int, default=None, help="override evaluation budget")
-    p_run.add_argument("--mode", choices=("virtual", "wall"), default=None)
     p_run.add_argument("--out", default=None, help="output directory (default: runs)")
     p_run.set_defaults(func=cmd_run)
 

@@ -10,9 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problems import Genome, is_optimum
-from .records import IslandStats, RunResult
-from .seeding import node_rng
+from .problems import Genome
 
 
 @dataclass(slots=True)
@@ -60,26 +58,21 @@ class GaParams:
 
 
 class Population:
-    """Fixed-size population backed by flat arrays; `t` counts steady-state
-    iterations. Owned by exactly one execution unit; not safe for
-    concurrent mutation.
+    """Fixed-size population backed by flat arrays. Owned by exactly one
+    island.
 
     The index of the worst member is cached. Every write goes through
     `replace_worst`, which keeps the cache equal to `np.argmin` (first
     minimum on ties) of the fitness array."""
 
-    __slots__ = ("genomes", "fitness", "t", "_worst")
+    __slots__ = ("genomes", "fitness", "_worst")
 
-    def __init__(self, genomes: np.ndarray, fitness: np.ndarray, t: int = 0):
+    def __init__(self, genomes: np.ndarray, fitness: np.ndarray):
         if genomes.shape[0] != fitness.shape[0]:
             raise ValueError("genomes and fitness must have equal leading size")
         self.genomes = genomes
         self.fitness = fitness
-        self.t = t
         self._worst: int | None = None
-
-    def __len__(self) -> int:
-        return self.genomes.shape[0]
 
     @property
     def size(self) -> int:
@@ -135,13 +128,6 @@ def _tournament_index(pop: Population, size: int, rng) -> int:
         if fitness[j] > fitness[best]:
             best = j
     return best
-
-
-def tournament_select(pop: Population, rng, tournament_size: int = 2) -> Individual:
-    """Fitter of `tournament_size` uniformly drawn members (with replacement)."""
-    if pop.size == 0:
-        raise ValueError("population is empty")
-    return pop.member(_tournament_index(pop, tournament_size, rng))
 
 
 def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome:
@@ -202,15 +188,7 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     f = problem.evaluate(child)
     if f >= pop.fitness[pop.worst_index()]:
         pop.replace_worst(child, f)
-    pop.t += 1
     return f
-
-
-def ssga_step(pop: Population, params: GaParams, problem, rng) -> tuple[Population, int]:
-    """Public steady-state step: returns the population and the evaluation
-    count (always 1)."""
-    _offspring_step(pop, params, problem, rng)
-    return pop, 1
 
 
 def immigrate(pop: Population, incoming) -> Population:
@@ -226,38 +204,3 @@ def select_emigrant(pop: Population, rng) -> Individual:
     if pop.size == 0:
         raise ValueError("population is empty")
     return pop.member(int(rng.random() * pop.size))
-
-
-def run_panmictic_ssga(params: GaParams, problem, budget: int, seed: int) -> RunResult:
-    """Single unstructured population run until the optimum or the
-    evaluation budget is reached.
-
-    Virtual time: one iteration per tick, so elapsed_ms equals the
-    iteration count. Matches a single-node island run with the same seed.
-    """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    rng = node_rng(seed)
-    params = params.resolved_for(problem.length)
-    pop = init_population(params, problem, rng)
-    evals = pop.size
-    best = pop.best_fitness()
-    trace = [(0.0, best)]
-    iterations = 0
-    while not is_optimum(best, problem) and evals + 1 <= budget:
-        f = _offspring_step(pop, params, problem, rng)
-        evals += 1
-        iterations += 1
-        if f > best:
-            best = f
-            trace.append((float(iterations), best))
-    stats = IslandStats(evaluations=evals, iterations=iterations)
-    return RunResult(
-        seed=seed,
-        total_evaluations=evals,
-        elapsed_ms=float(iterations),
-        best_fitness=best,
-        success=is_optimum(best, problem),
-        trace=trace,
-        per_island={"panmictic": stats},
-    )

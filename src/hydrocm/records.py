@@ -30,8 +30,8 @@ class RunResult:
     """Outcome of one optimization run.
 
     `trace` is an ordered list of (time_ms, best_fitness) pairs, one entry
-    per improvement of the global best; `elapsed_ms` is virtual or
-    wall-clock depending on the run mode.
+    per improvement of the global best; `elapsed_ms` is virtual time in
+    ticks, one tick per iteration of a speed-1.0 node.
     """
 
     seed: int

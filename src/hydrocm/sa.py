@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ga import Individual, mutate
-from .problems import Genome, is_optimum, random_genome
-from .records import IslandStats, RunResult
-from .seeding import node_rng
+from .problems import Genome, random_genome
 
 SCHEDULES = ("fast", "geometric")
 
@@ -50,11 +48,17 @@ class SaParams:
 
         return replace(self, p_perturb_per_bit=min(1.0, 4.0 / length))
 
+    @property
+    def init_evaluations(self) -> int:
+        """Evaluations `init_sa_state` spends: the initial solution, plus
+        T0_SAMPLES when t0 is estimated."""
+        return 1 if self.t0 is not None else 1 + T0_SAMPLES
+
 
 @dataclass
 class SaState:
     """Annealing state: current solution, best-so-far, and the cooling
-    position. Owned by exactly one execution unit."""
+    position. Owned by exactly one island."""
 
     current: Individual
     best: Individual
@@ -102,14 +106,10 @@ def init_sa_state(params: SaParams, problem, rng) -> tuple[SaState, int]:
     counting the initial evaluation and any t0 estimation samples."""
     genome = random_genome(problem.length, rng)
     f = problem.evaluate(genome)
-    evals = 1
-    if params.t0 is not None:
-        t0 = params.t0
-    else:
-        t0 = estimate_t0(problem, rng)
-        evals += T0_SAMPLES
+    t0 = params.t0 if params.t0 is not None else estimate_t0(problem, rng)
     current = Individual(genome, f)
-    return SaState(current=current, best=current.copy(), t0=t0, temperature=t0), evals
+    state = SaState(current=current, best=current.copy(), t0=t0, temperature=t0)
+    return state, params.init_evaluations
 
 
 def sa_step(state: SaState, params: SaParams, problem, rng) -> tuple[SaState, int]:
@@ -142,36 +142,3 @@ def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> SaState:
 def select_emigrant_sa(state: SaState) -> Individual:
     """Copy of the best-so-far solution; the state is unchanged."""
     return state.best.copy()
-
-
-def run_panmictic_sa(params: SaParams, problem, budget: int, seed: int) -> RunResult:
-    """Single annealer run until the optimum or the evaluation budget.
-
-    Virtual time: one proposed move per tick, so elapsed_ms equals the
-    move count. Matches a single-node island run with the same seed.
-    """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    rng = node_rng(seed)
-    params = params.resolved_for(problem.length)
-    state, evals = init_sa_state(params, problem, rng)
-    best = state.best.fitness
-    trace = [(0.0, best)]
-    iterations = 0
-    while not is_optimum(best, problem) and evals + 1 <= budget:
-        sa_step(state, params, problem, rng)
-        evals += 1
-        iterations += 1
-        if state.best.fitness > best:
-            best = state.best.fitness
-            trace.append((float(iterations), best))
-    stats = IslandStats(evaluations=evals, iterations=iterations)
-    return RunResult(
-        seed=seed,
-        total_evaluations=evals,
-        elapsed_ms=float(iterations),
-        best_fitness=best,
-        success=is_optimum(best, problem),
-        trace=trace,
-        per_island={"panmictic": stats},
-    )

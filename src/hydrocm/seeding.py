@@ -1,6 +1,6 @@
 """Seed derivation and a buffered RNG used on the hot search paths.
 
-Every execution unit (island or panmictic runner) owns exactly one RNG,
+Every island owns exactly one RNG,
 derived from the master seed so that runs replay bit-identically. A
 single-node run and the first island of a multi-node run with the same
 master seed receive the same stream.
@@ -57,12 +57,3 @@ class BufferedRng:
             # floor(u * span): bias is O(span / 2**53), irrelevant here
             return low + int(self.random() * (high - low))
         return self.generator.integers(low, high, size=size, dtype=dtype, endpoint=endpoint)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.generator.normal(loc, scale, size)
-
-    def choice(self, a, size=None, replace=True):
-        return self.generator.choice(a, size=size, replace=replace)
-
-
-RngLike = BufferedRng | np.random.Generator

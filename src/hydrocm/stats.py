@@ -18,18 +18,7 @@ from .records import RecordRow
 EXACT_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    values: tuple[float, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-
 def _values(sample) -> list[float]:
-    if isinstance(sample, SampleSet):
-        return list(sample.values)
     return [float(v) for v in sample]
 
 

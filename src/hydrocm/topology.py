@@ -151,6 +151,12 @@ def ethane_topology(variant: str, slow_factor: float = DEFAULT_SLOW_FACTOR) -> T
     return TopologySpec(tuple(nodes), tuple(bonds), KIND_HYDROCARBON)
 
 
+def panmictic_topology(algorithm: str) -> TopologySpec:
+    """One carbon node at speed 1.0 with no bonds: a panmictic baseline
+    running `algorithm`, one iteration per virtual tick."""
+    return TopologySpec((NodeSpec("panmictic", CARBON, algorithm, 1.0),), ())
+
+
 def ring_topology(
     n: int,
     fast_positions,

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from hydrocm.engine import RunConfig, run_experiment
+from hydrocm.topology import panmictic_topology
+
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+def panmictic(algorithm, problem, budget, seed):
+    """One panmictic run: `algorithm` alone on a one-node topology."""
+    config = RunConfig(panmictic_topology(algorithm), problem, evaluation_budget=budget, seed=seed)
+    return run_experiment(config)
 
 
 class CountingProblem:

@@ -9,10 +9,8 @@ random-stream gate (tests/test_stream_gate.py) share one set of runs.
 from functools import cache
 
 from hydrocm.engine import RunConfig, run_experiment
-from hydrocm.ga import GaParams, run_panmictic_ssga
 from hydrocm.problems import MmdpInstance, generate_ssp_instance
-from hydrocm.sa import SaParams, run_panmictic_sa
-from hydrocm.topology import ethane_topology, ring_topology
+from hydrocm.topology import ethane_topology, panmictic_topology, ring_topology
 
 SEEDS = range(1000, 1100)
 MMDP_BUDGET = 500_000
@@ -31,14 +29,12 @@ def _runner(cell: str):
         problem, budget = MmdpInstance(k=5), MMDP_BUDGET
     else:
         problem, budget = generate_ssp_instance(16, seed=11), SSP_BUDGET
-    if setup == "panmictic_ssga":
-        return lambda seed: run_panmictic_ssga(GaParams(), problem, budget, seed)
-    if setup == "panmictic_sa":
-        return lambda seed: run_panmictic_sa(SaParams(), problem, budget, seed)
     topology = {
         "ethane_g": ethane_topology("G"),
         "ethane_s": ethane_topology("S"),
         "ring8": ring_topology(8, {0, 3}),
+        "panmictic_ssga": panmictic_topology("ssga"),
+        "panmictic_sa": panmictic_topology("sa"),
     }[setup]
     return lambda seed: run_experiment(
         RunConfig(topology=topology, problem=problem, evaluation_budget=budget, seed=seed)

@@ -13,7 +13,7 @@ import yaml
 
 from hydrocm.cli import main as cli_main
 from hydrocm.engine import VirtualScheduler
-from hydrocm.ga import GaParams, Individual, immigrate, init_population, ssga_step
+from hydrocm.ga import GaParams, Individual, _offspring_step, immigrate, init_population
 from hydrocm.problems import (
     MmdpInstance,
     generate_ssp_instance,
@@ -164,7 +164,7 @@ def test_criterion_7_invariant_suite(capsys):
             genome = (rng.random(prob.length) < 0.5).astype(np.uint8)
             immigrate(pop, Individual(genome, prob.evaluate(genome)))
         else:
-            ssga_step(pop, params, prob, rng)
+            _offspring_step(pop, params, prob, rng)
         monotone = monotone and pop.best_fitness() >= best
         sizes_ok = sizes_ok and pop.size == 16
         best = pop.best_fitness()

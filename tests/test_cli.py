@@ -130,8 +130,59 @@ class TestRun:
 
     @pytest.mark.parametrize("field", ["migration_count", "budget", "repetitions"])
     def test_integral_number_accepted(self, tmp_path, field):
-        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_s"}, **{field: 2})
+        # a budget must also pay for initializing ethane_s (586 evaluations)
+        value = 1_000 if field == "budget" else 2
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_s"}, **{field: value})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("value", ["false", 0, "yes"])
+    def test_non_boolean_multiplicity_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "exp.yaml", multiplicity_as_frequency=value)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'multiplicity_as_frequency'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_multiplicity_accepted(self, tmp_path, value):
+        cfg = write_config(
+            tmp_path / "exp.yaml", setup={"kind": "ethane_g"}, repetitions=1, budget=2_000,
+            multiplicity_as_frequency=value,
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "options, flags, code, message",
+        [
+            ({"mode": "wall"}, [], 2, "config field 'mode'"),
+            ({"wall_throttle_ms": 5}, [], 2, "config field 'wall_throttle_ms': unknown key"),
+            ({"wall_throttle_ms": "fast"}, [], 2, "config field 'wall_throttle_ms': unknown key"),
+            ({}, ["--mode", "virtual"], 2, "unrecognized arguments: --mode"),
+            ({"mode": "virtual"}, [], 0, ""),
+        ],
+        ids=["mode-wall", "throttle-number", "throttle-string", "mode-flag", "mode-virtual"],
+    )
+    def test_wall_mode_is_gone(self, tmp_path, capsys, options, flags, code, message):
+        cfg = write_config(tmp_path / "exp.yaml", repetitions=1, **options)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag
+            rc = exc.code
+        assert rc == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setup, cost",
+        [("ethane_g", 2 * 64 + 6 * 101), ("ethane_s", 2 * 101 + 6 * 64), ("panmictic_sa", 101)],
+    )
+    def test_budget_below_initialization_cost_is_config_error(self, tmp_path, capsys, setup, cost):
+        cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, setup=setup, repetitions=1)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--budget", str(cost)]) == 0
+        (row,) = read_records(out / "records.csv")
+        assert (row.evaluations, row.elapsed_ms) == (cost, 0.0)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "p"), "--budget", str(cost - 1)]) == 2
+        assert "config field 'budget'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ga", [{"pop_size": 2.5}, {"tournament_size": 1.5}, {"pop_size": True}])
     def test_non_integer_ga_size_is_config_error(self, tmp_path, capsys, ga):

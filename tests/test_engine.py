@@ -7,27 +7,26 @@ from hydrocm.engine import (
     Channel,
     EvalBudget,
     RunConfig,
-    StopSignal,
     VirtualScheduler,
+    initialization_cost,
     run_experiment,
-    terminate_broadcast,
-    virtual_scheduler,
 )
-from hydrocm.ga import GaParams, run_panmictic_ssga
+from hydrocm.ga import GaParams, Individual
 from hydrocm.problems import MmdpInstance, is_optimum
-from hydrocm.sa import SaParams, run_panmictic_sa
+from hydrocm.sa import SaParams
 from hydrocm.topology import (
     BondSpec,
     NodeSpec,
     TopologySpec,
     TopologyValidationError,
     ethane_topology,
+    panmictic_topology,
     ring_topology,
 )
 
 
-def solo_topology(algorithm):
-    return TopologySpec((NodeSpec("solo", "carbon", algorithm, 1.0),), ())
+def migrant(i):
+    return Individual(np.array([i], dtype=np.uint8), float(i))
 
 
 def pair_topology(alg_a="ssga", alg_b="sa"):
@@ -42,15 +41,14 @@ class TestChannel:
     def test_fifo_order(self):
         ch = Channel("a", "b", batch_size=1)
         for i in range(3):
-            ch.send(np.array([i], dtype=np.uint8), float(i))
+            ch.send(migrant(i))
         msgs = ch.poll()
         assert [m.fitness for m in msgs] == [0.0, 1.0, 2.0]
-        assert [m.seq for m in msgs] == [0, 1, 2]
 
     def test_overflow_drops_oldest(self):
         ch = Channel("a", "b", batch_size=1)
         for i in range(9):
-            ch.send(np.array([i], dtype=np.uint8), float(i))
+            ch.send(migrant(i))
         assert ch.dropped == 1
         msgs = ch.poll()
         assert len(msgs) == 8
@@ -62,18 +60,9 @@ class TestChannel:
 
     def test_poll_clears_queue(self):
         ch = Channel("a", "b", batch_size=1)
-        ch.send(np.zeros(1, dtype=np.uint8), 1.0)
+        ch.send(migrant(1))
         assert len(ch.poll()) == 1
         assert ch.poll() == []
-
-
-class TestStopSignal:
-    def test_idempotent(self):
-        stop = StopSignal()
-        terminate_broadcast(stop, "success")
-        terminate_broadcast(stop, "budget")
-        assert stop.is_set()
-        assert stop.reason == "success"
 
 
 class TestEvalBudget:
@@ -87,7 +76,7 @@ class TestEvalBudget:
         budget = EvalBudget(2)
         budget.force(5)
         assert budget.used == 5
-        assert budget.exhausted
+        assert not budget.try_take(1)
 
 
 class TestVirtualScheduler:
@@ -102,7 +91,7 @@ class TestVirtualScheduler:
         assert counts == [100, 50]
 
     def test_equal_factors_round_robin(self):
-        sched = virtual_scheduler([1.0, 1.0, 1.0])
+        sched = VirtualScheduler([1.0, 1.0, 1.0])
         order = []
         for micro, idx in sched:
             order.append(idx)
@@ -127,31 +116,34 @@ class TestVirtualScheduler:
             VirtualScheduler([])
 
 
+class TestInitializationCost:
+    def test_per_node_costs(self):
+        assert initialization_cost(panmictic_topology("ssga"), None, None) == 64
+        assert initialization_cost(panmictic_topology("sa"), None, None) == 101
+        assert initialization_cost(panmictic_topology("sa"), None, SaParams(t0=2.0)) == 1
+        assert initialization_cost(ethane_topology("G"), GaParams(pop_size=8), None) == 2 * 8 + 6 * 101
+        assert initialization_cost(ethane_topology("S"), None, None) == 2 * 101 + 6 * 64
+
+    @pytest.mark.parametrize(
+        "topology",
+        [ethane_topology("G"), ethane_topology("S"), panmictic_topology("ssga"), panmictic_topology("sa")],
+        ids=["ethane_g", "ethane_s", "panmictic_ssga", "panmictic_sa"],
+    )
+    def test_budget_equal_to_cost_runs_init_only(self, topology):
+        cost = initialization_cost(topology, None, None)
+        res = run_experiment(
+            RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost, seed=3)
+        )
+        assert res.total_evaluations == cost
+        assert res.elapsed_ms == 0.0
+        assert all(s.iterations == 0 for s in res.per_island.values())
+        with pytest.raises(ValueError, match="initializing"):
+            run_experiment(
+                RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost - 1, seed=3)
+            )
+
+
 class TestRunExperiment:
-    def test_single_node_matches_panmictic_ssga(self):
-        prob = MmdpInstance(k=3)
-        engine = run_experiment(
-            RunConfig(topology=solo_topology("ssga"), problem=prob, evaluation_budget=50_000, seed=5)
-        )
-        pan = run_panmictic_ssga(GaParams(), prob, budget=50_000, seed=5)
-        assert engine.total_evaluations == pan.total_evaluations
-        assert engine.best_fitness == pan.best_fitness
-        assert engine.elapsed_ms == pan.elapsed_ms
-        assert engine.success == pan.success
-        assert engine.trace == pan.trace
-
-    def test_single_node_matches_panmictic_sa(self):
-        prob = MmdpInstance(k=2)
-        engine = run_experiment(
-            RunConfig(topology=solo_topology("sa"), problem=prob, evaluation_budget=20_000, seed=6)
-        )
-        pan = run_panmictic_sa(SaParams(), prob, budget=20_000, seed=6)
-        assert engine.total_evaluations == pan.total_evaluations
-        assert engine.best_fitness == pan.best_fitness
-        assert engine.elapsed_ms == pan.elapsed_ms
-        assert engine.success == pan.success
-        assert engine.trace == pan.trace
-
     def test_replay_determinism(self):
         config = dict(
             topology=ethane_topology("G"),
@@ -269,7 +261,7 @@ class TestRunExperiment:
     def test_init_only_budget(self):
         res = run_experiment(
             RunConfig(
-                topology=solo_topology("ssga"),
+                topology=panmictic_topology("ssga"),
                 problem=MmdpInstance(k=4),
                 evaluation_budget=64,
                 seed=10,
@@ -320,29 +312,3 @@ class TestRunExperiment:
             )
         )
         assert res.total_evaluations <= 20_000
-
-    def test_wall_clock_mode_smoke(self):
-        res = run_experiment(
-            RunConfig(
-                topology=ethane_topology("G"),
-                problem=MmdpInstance(k=1),
-                evaluation_budget=200_000,
-                seed=13,
-                mode="wall_clock",
-            )
-        )
-        assert res.success
-        assert res.elapsed_ms > 0.0
-        assert res.total_evaluations == sum(s.evaluations for s in res.per_island.values())
-
-    def test_wall_clock_respects_budget(self):
-        res = run_experiment(
-            RunConfig(
-                topology=ethane_topology("S"),
-                problem=MmdpInstance(k=6),
-                evaluation_budget=5_000,
-                seed=14,
-                mode="wall_clock",
-            )
-        )
-        assert res.total_evaluations <= 5_000 + 64 * 8  # init may overshoot

@@ -9,17 +9,17 @@ from hydrocm.ga import (
     Individual,
     Population,
     _offspring_step,
+    _tournament_index,
     immigrate,
     init_population,
     mutate,
     one_point_crossover,
-    run_panmictic_ssga,
     select_emigrant,
-    ssga_step,
-    tournament_select,
 )
 from hydrocm.problems import MmdpInstance, generate_ssp_instance
 from hydrocm.seeding import node_rng
+
+from conftest import panmictic
 
 
 def make_population(fitness_values, length=8):
@@ -70,27 +70,21 @@ class TestInitPopulation:
 class TestTournamentSelect:
     def test_uniform_population_returns_that_individual(self, rng):
         pop = Population(np.ones((4, 6), dtype=np.uint8), np.full(4, 2.5))
-        ind = tournament_select(pop, rng)
+        ind = pop.member(_tournament_index(pop, 2, rng))
         assert np.array_equal(ind.genome, np.ones(6, dtype=np.uint8))
         assert ind.fitness == 2.5
 
     def test_tournament_holding_best_returns_best(self, rng):
         # 30 draws from 3 members virtually guarantee the best is drawn
         pop = make_population([1.0, 2.0, 3.0])
-        ind = tournament_select(pop, rng, tournament_size=30)
-        assert ind.fitness == 3.0
+        assert pop.fitness[_tournament_index(pop, 30, rng)] == 3.0
 
     def test_binary_selection_pressure(self):
         pop = make_population([1.0, 2.0])
         rng = node_rng(11)
-        wins = sum(tournament_select(pop, rng).fitness == 2.0 for _ in range(10_000))
+        wins = sum(pop.fitness[_tournament_index(pop, 2, rng)] == 2.0 for _ in range(10_000))
         # with replacement the fitter wins 1 - (1/2)^2 = 0.75 of draws
         assert abs(wins / 10_000 - 0.75) < 0.02
-
-    def test_rejects_empty(self, rng):
-        empty = Population(np.empty((0, 4), dtype=np.uint8), np.empty(0))
-        with pytest.raises(ValueError):
-            tournament_select(empty, rng)
 
 
 class TestOnePointCrossover:
@@ -194,11 +188,7 @@ class TestSsgaStep:
         for _ in range(200):
             before_g = pop.genomes.copy()
             before_f = pop.fitness.copy()
-            before_t = pop.t
-            worst = before_f.min()
-            _, evals = ssga_step(pop, params, prob, rng)
-            assert evals == 1
-            assert pop.t == before_t + 1
+            _offspring_step(pop, params, prob, rng)
             if np.array_equal(pop.genomes, before_g):
                 # either rejected outright or an identical splice landed
                 assert np.array_equal(pop.fitness, before_f)
@@ -212,7 +202,7 @@ class TestSsgaStep:
         pop = init_population(params, prob, rng)
         for _ in range(2_000):
             best_before = pop.best_fitness()
-            ssga_step(pop, params, prob, rng)
+            _offspring_step(pop, params, prob, rng)
             if pop.best_fitness() > best_before:
                 return  # the improving offspring is present as the new best
         pytest.fail("no improving offspring observed")
@@ -224,7 +214,7 @@ class TestSsgaStep:
         pop = init_population(params, prob, rng)
         best = pop.best_fitness()
         for _ in range(1_000):
-            ssga_step(pop, params, prob, rng)
+            _offspring_step(pop, params, prob, rng)
             now = pop.best_fitness()
             assert now >= best
             best = now
@@ -235,7 +225,7 @@ class TestSsgaStep:
         params = GaParams(pop_size=4).resolved_for(prob.length)
         pop = init_population(params, prob, rng)
         prob.count = 0
-        ssga_step(pop, params, prob, rng)
+        _offspring_step(pop, params, prob, rng)
         assert prob.count == 1
 
     def test_size_invariant(self):
@@ -244,7 +234,7 @@ class TestSsgaStep:
         params = GaParams(pop_size=8).resolved_for(prob.length)
         pop = init_population(params, prob, rng)
         for _ in range(500):
-            ssga_step(pop, params, prob, rng)
+            _offspring_step(pop, params, prob, rng)
             assert pop.size == 8
 
 
@@ -324,19 +314,19 @@ class TestSelectEmigrant:
 
 class TestRunPanmicticSsga:
     def test_budget_equal_to_pop_size_stops_after_init(self):
-        res = run_panmictic_ssga(GaParams(), MmdpInstance(k=2), budget=64, seed=1)
+        res = panmictic("ssga", MmdpInstance(k=2), budget=64, seed=1)
         assert res.total_evaluations == 64
         assert res.elapsed_ms == 0.0
         assert len(res.trace) == 1
 
     def test_deterministic(self):
-        a = run_panmictic_ssga(GaParams(), MmdpInstance(k=2), budget=20_000, seed=9)
-        b = run_panmictic_ssga(GaParams(), MmdpInstance(k=2), budget=20_000, seed=9)
+        a = panmictic("ssga", MmdpInstance(k=2), budget=20_000, seed=9)
+        b = panmictic("ssga", MmdpInstance(k=2), budget=20_000, seed=9)
         assert a == b
 
     def test_mmdp_k2_solve_rate(self):
         solved = sum(
-            run_panmictic_ssga(GaParams(), MmdpInstance(k=2), budget=100_000, seed=s).success
+            panmictic("ssga", MmdpInstance(k=2), budget=100_000, seed=s).success
             for s in range(100)
         )
         assert solved >= 95
@@ -344,13 +334,13 @@ class TestRunPanmicticSsga:
     def test_ssp_n16_solve_rate(self):
         prob = generate_ssp_instance(16, seed=11)
         solved = sum(
-            run_panmictic_ssga(GaParams(), prob, budget=100_000, seed=s).success
+            panmictic("ssga", prob, budget=100_000, seed=s).success
             for s in range(100)
         )
         assert solved >= 95
 
     def test_trace_monotone(self):
-        res = run_panmictic_ssga(GaParams(), MmdpInstance(k=3), budget=50_000, seed=77)
+        res = panmictic("ssga", MmdpInstance(k=3), budget=50_000, seed=77)
         times = [t for t, _ in res.trace]
         fits = [f for _, f in res.trace]
         assert times == sorted(times)

@@ -12,14 +12,13 @@ from hydrocm.sa import (
     init_sa_state,
     inject_immigrant,
     perturb,
-    run_panmictic_sa,
     sa_step,
     select_emigrant_sa,
     update_temperature,
 )
 from hydrocm.seeding import node_rng
 
-from conftest import ConstantProblem
+from conftest import ConstantProblem, panmictic
 
 
 def fresh_state(problem, seed=1, **params_kw):
@@ -224,7 +223,7 @@ class TestSelectEmigrantSa:
 class TestRunPanmicticSa:
     def test_mmdp_k1_solve_rate(self):
         solved = sum(
-            run_panmictic_sa(SaParams(), MmdpInstance(k=1), budget=10_000, seed=s).success
+            panmictic("sa", MmdpInstance(k=1), budget=10_000, seed=s).success
             for s in range(100)
         )
         assert solved >= 99
@@ -232,24 +231,24 @@ class TestRunPanmicticSa:
     def test_ssp_n16_solve_rate(self):
         prob = generate_ssp_instance(16, seed=11)
         solved = sum(
-            run_panmictic_sa(SaParams(), prob, budget=100_000, seed=s).success
+            panmictic("sa", prob, budget=100_000, seed=s).success
             for s in range(100)
         )
         assert solved >= 90
 
     def test_exhausted_budget_reports_failure(self):
         prob = MmdpInstance(k=4)
-        res = run_panmictic_sa(SaParams(), prob, budget=105, seed=0)
+        res = panmictic("sa", prob, budget=105, seed=0)
         assert not res.success
         assert res.best_fitness < prob.optimum
         assert res.total_evaluations <= 105
 
     def test_deterministic(self):
-        a = run_panmictic_sa(SaParams(), MmdpInstance(k=2), budget=5_000, seed=21)
-        b = run_panmictic_sa(SaParams(), MmdpInstance(k=2), budget=5_000, seed=21)
+        a = panmictic("sa", MmdpInstance(k=2), budget=5_000, seed=21)
+        b = panmictic("sa", MmdpInstance(k=2), budget=5_000, seed=21)
         assert a == b
 
     def test_counts_t0_estimation_evaluations(self, counting):
         prob = counting(MmdpInstance(k=4))
-        res = run_panmictic_sa(SaParams(), prob, budget=500, seed=2)
+        res = panmictic("sa", prob, budget=500, seed=2)
         assert res.total_evaluations == prob.count

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hydrocm.records import RecordRow
 from hydrocm.stats import (
-    SampleSet,
     format_speedup,
     mann_whitney_u,
     mean_std,
@@ -50,7 +49,7 @@ def mann_whitney_oracle(xs, ys):
 
 class TestMeanStd:
     def test_constant_sample(self):
-        assert mean_std(SampleSet((5, 5, 5))) == (5.0, 0.0)
+        assert mean_std((5, 5, 5)) == (5.0, 0.0)
 
     def test_hand_computed(self):
         mean, std = mean_std([1, 2, 3, 4])
@@ -67,7 +66,7 @@ class TestMeanStd:
 
 class TestSpeedup:
     def test_published_style_ratio(self):
-        result = speedup(SampleSet((15995,)), SampleSet((5318,)))
+        result = speedup((15995,), (5318,))
         assert abs(result.speedup - 3.00) <= 0.01
         assert format_speedup(result) == f"{15995 / 5318:.2f}"
 
@@ -76,7 +75,7 @@ class TestSpeedup:
         assert abs(result.speedup - 6.76) <= 0.01
 
     def test_identity(self):
-        xs = SampleSet((3.0, 4.0, 5.0))
+        xs = (3.0, 4.0, 5.0)
         assert speedup(xs, xs).speedup == 1.0
 
     def test_zero_parallel_mean_rejected(self):
