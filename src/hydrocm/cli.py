@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -26,7 +26,6 @@ from .records import (
 from .sa import SaParams
 from .stats import SummaryRow, mann_whitney_u, mean_std, summarize_experiment
 from .topology import (
-    TopologySpec,
     ethane_topology,
     load_topology,
     panmictic_topology,
@@ -39,7 +38,16 @@ EXIT_FINDINGS = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-SETUPS = ("ethane_g", "ethane_s", "ring", "panmictic_ssga", "panmictic_sa", "custom")
+#: Every problem and setup kind, with the keys its mapping may hold.
+PROBLEMS = {"mmdp": ("kind", "k"), "ssp": ("kind", "n", "seed")}
+SETUPS = {
+    "ethane_g": ("kind",),
+    "ethane_s": ("kind",),
+    "ring": ("kind", "n", "fast_positions"),
+    "panmictic_ssga": ("kind",),
+    "panmictic_sa": ("kind",),
+    "custom": ("kind", "topology"),
+}
 
 #: Every top-level key an experiment config may hold. `mode` is kept so that
 #: existing configs load; `virtual` is its only value.
@@ -55,7 +63,6 @@ CONFIG_KEYS = (
     "slow_factor",
     "ga",
     "sa",
-    "multiplicity_as_frequency",
 )
 
 
@@ -67,27 +74,26 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description: `repetitions` runs of
+    `run`, repetition i with seed `run.seed + i` (`run.seed` is the
+    config's `master_seed`)."""
 
-    problem: object
-    problem_label: str
     setup: str
-    topology: TopologySpec
+    problem_label: str
     repetitions: int
-    budget: int
-    master_seed: int
-    migration_frequency: int = 50
-    migration_count: int = 1
-    slow_factor: float = 0.35
-    ga: GaParams | None = None
-    sa: SaParams | None = None
-    multiplicity_as_frequency: bool = False
+    run: RunConfig
 
 
 def _require(data: dict, key: str, fieldname: str | None = None):
     if key not in data:
         raise ConfigError(fieldname or key, "missing")
     return data[key]
+
+
+def _reject_unknown_keys(data: dict, allowed, prefix: str = "") -> None:
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"{prefix}{key}", "unknown key")
 
 
 def _as_int(value, fieldname: str, minimum=None) -> int:
@@ -106,18 +112,19 @@ def _as_int(value, fieldname: str, minimum=None) -> int:
     return out
 
 
-def _build_problem(data, cfg_dir: Path):
+def _build_problem(data):
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("problem", "expected a mapping with a 'kind'")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in PROBLEMS:
+        raise ConfigError("problem.kind", f"unknown problem {kind!r}")
+    _reject_unknown_keys(data, PROBLEMS[kind], "problem.")
     if kind == "mmdp":
         k = _as_int(_require(data, "k", "problem.k"), "problem.k", minimum=1)
         return MmdpInstance(k=k), f"mmdp_k{k}"
-    if kind == "ssp":
-        n = _as_int(_require(data, "n", "problem.n"), "problem.n", minimum=2)
-        seed = _as_int(_require(data, "seed", "problem.seed"), "problem.seed")
-        return generate_ssp_instance(n, seed), f"ssp_n{n}_s{seed}"
-    raise ConfigError("problem.kind", f"unknown problem {kind!r}")
+    n = _as_int(_require(data, "n", "problem.n"), "problem.n", minimum=2)
+    seed = _as_int(_require(data, "seed", "problem.seed"), "problem.seed")
+    return generate_ssp_instance(n, seed), f"ssp_n{n}_s{seed}"
 
 
 def _build_setup(data, slow_factor: float, cfg_dir: Path):
@@ -126,8 +133,9 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("setup", "expected a mapping with a 'kind'")
     kind = data["kind"]
-    if kind not in SETUPS:
-        raise ConfigError("setup.kind", f"must be one of {SETUPS}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in SETUPS:
+        raise ConfigError("setup.kind", f"must be one of {tuple(SETUPS)}, got {kind!r}")
+    _reject_unknown_keys(data, SETUPS[kind], "setup.")
     if kind == "ethane_g":
         return kind, ethane_topology("G", slow_factor)
     if kind == "ethane_s":
@@ -135,9 +143,12 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
     if kind == "ring":
         n = _as_int(data.get("n", 8), "setup.n", minimum=2)
         positions = data.get("fast_positions", [0, 3])
+        if not isinstance(positions, list):
+            raise ConfigError("setup.fast_positions", f"expected a list of integers, got {positions!r}")
+        positions = [_as_int(p, "setup.fast_positions") for p in positions]
         try:
-            topo = ring_topology(n, [int(p) for p in positions], slow_factor)
-        except (TypeError, ValueError) as exc:
+            topo = ring_topology(n, positions, slow_factor)
+        except ValueError as exc:
             raise ConfigError("setup.fast_positions", str(exc)) from None
         return kind, topo
     if kind == "custom":
@@ -190,15 +201,10 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
         raise ConfigError("config", "top level must be a mapping")
     data = dict(data)
     data.update(overrides or {})
-    for key in data:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(str(key), "unknown key")
+    _reject_unknown_keys(data, CONFIG_KEYS)
 
     if data.get("mode", "virtual") != "virtual":
         raise ConfigError("mode", f"must be 'virtual', got {data['mode']!r}")
-    multiplicity = data.get("multiplicity_as_frequency", False)
-    if not isinstance(multiplicity, bool):
-        raise ConfigError("multiplicity_as_frequency", f"expected true or false, got {multiplicity!r}")
 
     slow_factor = data.get("slow_factor", 0.35)
     if isinstance(slow_factor, bool) or not isinstance(slow_factor, (int, float)):
@@ -206,7 +212,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     if not (math.isfinite(slow_factor) and slow_factor > 0):
         raise ConfigError("slow_factor", f"must be positive and finite, got {slow_factor!r}")
     slow_factor = float(slow_factor)
-    problem, problem_label = _build_problem(_require(data, "problem"), path.parent)
+    problem, problem_label = _build_problem(_require(data, "problem"))
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
     ga, sa = _build_ga(data.get("ga")), _build_sa(data.get("sa"))
     cost = initialization_cost(topology, ga, sa)
@@ -215,37 +221,22 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
         raise ConfigError("budget", f"must be >= {cost}, the cost of initializing {setup}, got {budget}")
 
     return ExperimentConfig(
-        problem=problem,
-        problem_label=problem_label,
         setup=setup,
-        topology=topology,
+        problem_label=problem_label,
         repetitions=_as_int(data.get("repetitions", 100), "repetitions", minimum=1),
-        budget=budget,
-        master_seed=_as_int(data.get("master_seed", 0), "master_seed"),
-        migration_frequency=_as_int(
-            data.get("migration_frequency", 50), "migration_frequency", minimum=1
+        run=RunConfig(
+            topology=topology,
+            problem=problem,
+            evaluation_budget=budget,
+            seed=_as_int(data.get("master_seed", 0), "master_seed"),
+            migration_frequency=_as_int(
+                data.get("migration_frequency", 50), "migration_frequency", minimum=1
+            ),
+            migration_count=_as_int(data.get("migration_count", 1), "migration_count", minimum=1),
+            ga=ga,
+            sa=sa,
         ),
-        migration_count=_as_int(data.get("migration_count", 1), "migration_count", minimum=1),
-        slow_factor=slow_factor,
-        ga=ga,
-        sa=sa,
-        multiplicity_as_frequency=multiplicity,
     )
-
-
-def _run_one(cfg: ExperimentConfig, seed: int):
-    run_config = RunConfig(
-        topology=cfg.topology,
-        problem=cfg.problem,
-        evaluation_budget=cfg.budget,
-        seed=seed,
-        migration_frequency=cfg.migration_frequency,
-        migration_count=cfg.migration_count,
-        ga=cfg.ga,
-        sa=cfg.sa,
-        multiplicity_as_frequency=cfg.multiplicity_as_frequency,
-    )
-    return run_experiment(run_config)
 
 
 def _summary_csv(row: SummaryRow) -> str:
@@ -286,13 +277,12 @@ def cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         traces_dir = out_dir / "traces"
         traces_dir.mkdir(exist_ok=True)
-        if isinstance(cfg.problem, SubsetSumInstance):
-            save_instance(cfg.problem, out_dir / "instance.txt")
+        if isinstance(cfg.run.problem, SubsetSumInstance):
+            save_instance(cfg.run.problem, out_dir / "instance.txt")
 
         rows = []
         for rep in range(cfg.repetitions):
-            seed = cfg.master_seed + rep
-            result = _run_one(cfg, seed)
+            result = run_experiment(replace(cfg.run, seed=cfg.run.seed + rep))
             rows.append(record_from_result(result))
             write_trace(traces_dir / f"rep{rep:04d}.trace", result.trace)
         write_records(out_dir / "records.csv", rows)

@@ -32,19 +32,18 @@ class Channel:
 
     Sends never block: when full, the oldest queued migrant is dropped
     (freshest-information bias) and counted. Polls return immediately.
+    `batch` is the number of migrants the sender puts in per migration:
+    bond multiplicity times `migration_count`.
     """
 
-    def __init__(self, src: str, dst: str, batch_size: int, capacity: int = CHANNEL_CAPACITY):
-        self.src = src
-        self.dst = dst
-        self.batch_size = batch_size
-        self.capacity = capacity
+    def __init__(self, batch: int):
+        self.batch = batch
         self.dropped = 0
         self._queue: deque[Individual] = deque()
 
     def send(self, migrant: Individual) -> None:
         """Queue `migrant`, which the sender must not touch afterwards."""
-        if len(self._queue) >= self.capacity:
+        if len(self._queue) >= CHANNEL_CAPACITY:
             self._queue.popleft()
             self.dropped += 1
         self._queue.append(migrant)
@@ -125,7 +124,6 @@ class RunConfig:
     migration_count: int = 1
     ga: GaParams | None = None
     sa: SaParams | None = None
-    multiplicity_as_frequency: bool = False
 
     def __post_init__(self):
         if self.evaluation_budget < 1:
@@ -136,70 +134,44 @@ class RunConfig:
             raise ValueError("migration_count must be >= 1")
 
 
-class _OutLink:
-    __slots__ = ("channel", "period", "batch")
-
-    def __init__(self, channel: Channel, period: int, batch: int):
-        self.channel = channel
-        self.period = period
-        self.batch = batch
-
-
 class _Island:
     """One node's algorithm loop plus its migration endpoints."""
 
     immigrant_costs_eval = False
 
-    def __init__(self, node, index, problem, rng, migration_frequency):
+    def __init__(self, node, problem, rng):
         self.node = node
-        self.index = index
         self.problem = problem
         self.rng = rng
-        self.migration_frequency = migration_frequency
-        self.out_links: list[_OutLink] = []
+        self.out_channels: list[Channel] = []
         self.in_channels: list[Channel] = []
         self.stats = IslandStats()
         self.best_fitness = -math.inf
-        # set by _build_islands once links are wired
-        self.due_single: int | None = migration_frequency
-        self.due_all: tuple[int, ...] = (migration_frequency,)
-
-    def finish_wiring(self) -> None:
-        periods = {self.migration_frequency} | {link.period for link in self.out_links}
-        self.due_all = tuple(sorted(periods))
-        self.due_single = self.due_all[0] if len(self.due_all) == 1 else None
-
-    def migration_due(self, iteration: int) -> bool:
-        if self.due_single is not None:
-            return iteration % self.due_single == 0
-        return any(iteration % p == 0 for p in self.due_all)
 
     def migrate(self, budget: EvalBudget) -> None:
-        """Send on due outgoing channels, then drain incoming ones.
+        """Send `channel.batch` emigrants on every outgoing channel, then
+        drain every incoming one.
 
         Draining halts early if the budget cannot pay for an immigrant
         move (only SA immigrants cost an evaluation).
         """
-        m = self.stats.iterations
-        for link in self.out_links:
-            if m % link.period == 0:
-                for _ in range(link.batch):
-                    link.channel.send(self.emigrant())
-                    self.stats.emigrants_sent += 1
-        if m % self.migration_frequency == 0:
-            costs = self.immigrant_costs_eval
-            for channel in self.in_channels:
-                for msg in channel.poll():
-                    if costs and not budget.try_take(1):
-                        return
-                    self._apply_immigrant(msg)
+        for channel in self.out_channels:
+            for _ in range(channel.batch):
+                channel.send(self.emigrant())
+            self.stats.emigrants_sent += channel.batch
+        costs = self.immigrant_costs_eval
+        for channel in self.in_channels:
+            for msg in channel.poll():
+                if costs and not budget.try_take(1):
+                    return
+                self._apply_immigrant(msg)
 
 
 class _GaIsland(_Island):
     immigrant_costs_eval = False
 
-    def __init__(self, node, index, problem, rng, migration_frequency, params: GaParams):
-        super().__init__(node, index, problem, rng, migration_frequency)
+    def __init__(self, node, problem, rng, params: GaParams):
+        super().__init__(node, problem, rng)
         self.params = params
         self.pop = None
 
@@ -230,8 +202,8 @@ class _GaIsland(_Island):
 class _SaIsland(_Island):
     immigrant_costs_eval = True
 
-    def __init__(self, node, index, problem, rng, migration_frequency, params: SaParams):
-        super().__init__(node, index, problem, rng, migration_frequency)
+    def __init__(self, node, problem, rng, params: SaParams):
+        super().__init__(node, problem, rng)
         self.params = params
         self.state = None
 
@@ -272,7 +244,7 @@ def _build_islands(config: RunConfig) -> list[_Island]:
     spec = config.topology
     if not spec.nodes:
         raise ValueError("topology must have at least one node")
-    plan = compile_channels(spec)
+    channels = compile_channels(spec)
     cost = initialization_cost(spec, config.ga, config.sa)
     if config.evaluation_budget < cost:
         raise ValueError(
@@ -283,30 +255,21 @@ def _build_islands(config: RunConfig) -> list[_Island]:
     ga_params = (config.ga or GaParams()).resolved_for(problem.length)
     sa_params = (config.sa or SaParams()).resolved_for(problem.length)
     rngs = spawn_rngs(config.seed, len(spec.nodes))
-    freq = config.migration_frequency
 
     islands = []
     by_id = {}
-    for idx, node in enumerate(spec.nodes):
+    for node, rng in zip(spec.nodes, rngs):
         if node.algorithm == SSGA:
-            island = _GaIsland(node, idx, problem, rngs[idx], freq, ga_params)
+            island = _GaIsland(node, problem, rng, ga_params)
         else:
-            island = _SaIsland(node, idx, problem, rngs[idx], freq, sa_params)
+            island = _SaIsland(node, problem, rng, sa_params)
         islands.append(island)
         by_id[node.id] = island
 
-    for cspec in plan.channels:
-        if config.multiplicity_as_frequency:
-            period = max(1, freq // cspec.batch_size)
-            batch = config.migration_count
-        else:
-            period = freq
-            batch = cspec.batch_size * config.migration_count
-        channel = Channel(cspec.src, cspec.dst, batch)
-        by_id[cspec.src].out_links.append(_OutLink(channel, period, batch))
+    for cspec in channels:
+        channel = Channel(cspec.batch_size * config.migration_count)
+        by_id[cspec.src].out_channels.append(channel)
         by_id[cspec.dst].in_channels.append(channel)
-    for island in islands:
-        island.finish_wiring()
     return islands
 
 
@@ -330,6 +293,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     trace = [(0.0, global_best)]
 
     scheduler = VirtualScheduler([n.speed_factor for n in config.topology.nodes])
+    freq = config.migration_frequency
     elapsed_micro = 0
     if not is_optimum(global_best, problem):
         for micro, idx in scheduler:
@@ -343,7 +307,7 @@ def run_experiment(config: RunConfig) -> RunResult:
                 trace.append((scheduler.ticks(micro), global_best))
                 if is_optimum(global_best, problem):
                     break
-            if island.migration_due(island.stats.iterations):
+            if island.stats.iterations % freq == 0:
                 island.migrate(budget)
                 # global_best is below the optimum here unless it just rose
                 if island.best_fitness > global_best:

@@ -78,9 +78,6 @@ class Population:
     def size(self) -> int:
         return self.genomes.shape[0]
 
-    def best_index(self) -> int:
-        return int(np.argmax(self.fitness))
-
     def worst_index(self) -> int:
         w = self._worst
         if w is None:
@@ -103,9 +100,6 @@ class Population:
 
     def member(self, i: int) -> Individual:
         return Individual(self.genomes[i].copy(), float(self.fitness[i]))
-
-    def best(self) -> Individual:
-        return self.member(self.best_index())
 
 
 def init_population(params: GaParams, problem, rng) -> Population:

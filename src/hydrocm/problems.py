@@ -77,9 +77,6 @@ class MmdpInstance:
     def evaluate(self, genome: Genome) -> float:
         return mmdp_fitness(genome, self)
 
-    def describe(self) -> str:
-        return f"mmdp(k={self.k})"
-
 
 def mmdp_fitness(genome: Genome, inst: MmdpInstance) -> float:
     """Sum of the deception subfunction over consecutive disjoint 6-bit blocks."""
@@ -126,9 +123,6 @@ class SubsetSumInstance:
 
     def evaluate(self, genome: Genome) -> float:
         return ssp_fitness(genome, self)
-
-    def describe(self) -> str:
-        return f"ssp(n={self.length})"
 
 
 def ssp_fitness(genome: Genome, inst: SubsetSumInstance) -> float:

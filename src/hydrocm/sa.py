@@ -7,11 +7,11 @@ so the acceptance exponent uses delta = f_current - f_candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ga import Individual, mutate
+from .ga import Individual, default_mutation_rate, mutate
 from .problems import Genome, random_genome
 
 SCHEDULES = ("fast", "geometric")
@@ -44,9 +44,7 @@ class SaParams:
     def resolved_for(self, length: int) -> "SaParams":
         if self.p_perturb_per_bit is not None:
             return self
-        from dataclasses import replace
-
-        return replace(self, p_perturb_per_bit=min(1.0, 4.0 / length))
+        return replace(self, p_perturb_per_bit=default_mutation_rate(length))
 
     @property
     def init_evaluations(self) -> int:

@@ -94,12 +94,6 @@ class TopologySpec:
     def node_ids(self) -> list[str]:
         return [n.id for n in self.nodes]
 
-    def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def bond_degree(self) -> dict[str, int]:
         """Total bond multiplicity per node id."""
         deg = {n.id: 0 for n in self.nodes}
@@ -116,17 +110,6 @@ class ChannelSpec:
     src: str
     dst: str
     batch_size: int
-
-
-@dataclass(frozen=True)
-class ChannelPlan:
-    channels: tuple[ChannelSpec, ...]
-
-    def outgoing(self, node_id: str) -> list[ChannelSpec]:
-        return [c for c in self.channels if c.src == node_id]
-
-    def incoming(self, node_id: str) -> list[ChannelSpec]:
-        return [c for c in self.channels if c.dst == node_id]
 
 
 def ethane_topology(variant: str, slow_factor: float = DEFAULT_SLOW_FACTOR) -> TopologySpec:
@@ -276,7 +259,7 @@ def validate_topology(spec: TopologySpec) -> list[str]:
     return validate_hydrocarbon(spec)
 
 
-def compile_channels(spec: TopologySpec) -> ChannelPlan:
+def compile_channels(spec: TopologySpec) -> tuple[ChannelSpec, ...]:
     """Directed migration channels: two opposite channels per hydrocarbon
     bond, one per ring bond; batch_size equals the bond multiplicity."""
     violations = validate_topology(spec)
@@ -287,7 +270,7 @@ def compile_channels(spec: TopologySpec) -> ChannelPlan:
         channels.append(ChannelSpec(b.a, b.b, b.multiplicity))
         if spec.kind != KIND_RING:
             channels.append(ChannelSpec(b.b, b.a, b.multiplicity))
-    return ChannelPlan(tuple(channels))
+    return tuple(channels)
 
 
 def random_hydrocarbon(

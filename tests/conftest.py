@@ -34,9 +34,6 @@ class CountingProblem:
         self.count += 1
         return self.inner.evaluate(genome)
 
-    def describe(self):
-        return self.inner.describe()
-
 
 class ConstantProblem:
     """Every genome has the same fitness; the optimum is unreachable."""
@@ -48,9 +45,6 @@ class ConstantProblem:
 
     def evaluate(self, genome):
         return self.value
-
-    def describe(self):
-        return f"const({self.value})"
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import yaml
 
 from hydrocm.cli import main
 from hydrocm.records import read_records
+from hydrocm.topology import ethane_topology, load_topology, ring_topology
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -135,19 +136,34 @@ class TestRun:
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_s"}, **{field: value})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize("value", ["false", 0, "yes"])
-    def test_non_boolean_multiplicity_is_config_error(self, tmp_path, capsys, value):
-        cfg = write_config(tmp_path / "exp.yaml", multiplicity_as_frequency=value)
+    @pytest.mark.parametrize(
+        "section, fieldname",
+        [
+            ({"problem": {"kind": "mmdp", "k": 2, "seed": 3}}, "problem.seed"),
+            ({"problem": {"kind": "mmdp", "k": 2, "n": 99}}, "problem.n"),
+            ({"problem": {"kind": "ssp", "n": 16, "seed": 3, "k": 2}}, "problem.k"),
+            ({"setup": {"kind": "ethane_g", "n": 4}}, "setup.n"),
+            ({"setup": {"kind": "panmictic_sa", "fast_positions": [1]}}, "setup.fast_positions"),
+            ({"setup": {"kind": "ring", "n": 4, "topology": "ring8.topology"}}, "setup.topology"),
+            ({"setup": {"kind": "custom", "topology": "x.topology", "n": 3}}, "setup.n"),
+        ],
+        ids=["mmdp-seed", "mmdp-n", "ssp-k", "ethane-n", "panmictic-positions", "ring-topology", "custom-n"],
+    )
+    def test_unknown_nested_key_is_config_error(self, tmp_path, capsys, section, fieldname):
+        cfg = write_config(tmp_path / "exp.yaml", **section)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config field 'multiplicity_as_frequency'" in capsys.readouterr().err
+        assert f"config field '{fieldname}': unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [True, False])
-    def test_boolean_multiplicity_accepted(self, tmp_path, value):
-        cfg = write_config(
-            tmp_path / "exp.yaml", setup={"kind": "ethane_g"}, repetitions=1, budget=2_000,
-            multiplicity_as_frequency=value,
-        )
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    @pytest.mark.parametrize(
+        "positions, code",
+        [("03", 2), (3, 2), ([1.5], 2), ([True], 2), ([0, 3], 0)],
+        ids=["string", "scalar", "float", "bool", "list"],
+    )
+    def test_fast_positions_must_be_integer_list(self, tmp_path, capsys, positions, code):
+        setup = {"kind": "ring", "n": 4, "fast_positions": positions}
+        cfg = write_config(tmp_path / "exp.yaml", setup=setup, repetitions=1, budget=2_000)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        assert ("config field 'setup.fast_positions'" in capsys.readouterr().err) == (code == 2)
 
     @pytest.mark.parametrize(
         "options, flags, code, message",
@@ -157,8 +173,14 @@ class TestRun:
             ({"wall_throttle_ms": "fast"}, [], 2, "config field 'wall_throttle_ms': unknown key"),
             ({}, ["--mode", "virtual"], 2, "unrecognized arguments: --mode"),
             ({"mode": "virtual"}, [], 0, ""),
+            (
+                {"multiplicity_as_frequency": True},
+                [],
+                2,
+                "config field 'multiplicity_as_frequency': unknown key",
+            ),
         ],
-        ids=["mode-wall", "throttle-number", "throttle-string", "mode-flag", "mode-virtual"],
+        ids=["mode-wall", "throttle-number", "throttle-string", "mode-flag", "mode-virtual", "multiplicity"],
     )
     def test_wall_mode_is_gone(self, tmp_path, capsys, options, flags, code, message):
         cfg = write_config(tmp_path / "exp.yaml", repetitions=1, **options)
@@ -262,10 +284,18 @@ class TestReport:
 
 class TestValidateTopology:
     def test_shipped_ethane_files_valid(self, capsys):
-        for name in ("ethane_g.topology", "ethane_s.topology", "ring8.topology"):
+        # what scripts/make_topologies.py writes; a file that drifted from
+        # its generator fails here
+        generated = {
+            "ethane_g.topology": ethane_topology("G"),
+            "ethane_s.topology": ethane_topology("S"),
+            "ring8.topology": ring_topology(8, [0, 3]),
+        }
+        for name, spec in generated.items():
             path = REPO_ROOT / "topologies" / name
             assert main(["validate-topology", str(path)]) == 0
             assert "valid" in capsys.readouterr().out
+            assert load_topology(path) == spec
 
     def test_pentavalent_carbon_rejected(self, tmp_path, capsys):
         doc = {

@@ -39,14 +39,14 @@ def pair_topology(alg_a="ssga", alg_b="sa"):
 
 class TestChannel:
     def test_fifo_order(self):
-        ch = Channel("a", "b", batch_size=1)
+        ch = Channel(1)
         for i in range(3):
             ch.send(migrant(i))
         msgs = ch.poll()
         assert [m.fitness for m in msgs] == [0.0, 1.0, 2.0]
 
     def test_overflow_drops_oldest(self):
-        ch = Channel("a", "b", batch_size=1)
+        ch = Channel(1)
         for i in range(9):
             ch.send(migrant(i))
         assert ch.dropped == 1
@@ -55,11 +55,11 @@ class TestChannel:
         assert msgs[0].fitness == 1.0  # message 0 was dropped
 
     def test_poll_empty_returns_immediately(self):
-        ch = Channel("a", "b", batch_size=1)
+        ch = Channel(1)
         assert ch.poll() == []
 
     def test_poll_clears_queue(self):
-        ch = Channel("a", "b", batch_size=1)
+        ch = Channel(1)
         ch.send(migrant(1))
         assert len(ch.poll()) == 1
         assert ch.poll() == []
@@ -285,7 +285,9 @@ class TestRunExperiment:
         # slow nodes run at 0.35x the fast clock; allow one-iteration edges
         assert abs(slow - 0.35 * fast) <= 1 + 0.35
 
-    def test_multiplicity_as_frequency_mode(self):
+    def test_multiplicity_sets_migration_batch(self):
+        """Every migration sends bond multiplicity x migration_count
+        emigrants down each of a node's channels."""
         nodes = (
             NodeSpec("C0", "carbon", "ssga", 1.0),
             NodeSpec("C1", "carbon", "ssga", 1.0),
@@ -302,13 +304,18 @@ class TestRunExperiment:
             BondSpec("C1", "H3"),
         )
         spec = TopologySpec(nodes, bonds)
-        res = run_experiment(
-            RunConfig(
-                topology=spec,
-                problem=MmdpInstance(k=4),
-                evaluation_budget=20_000,
-                seed=12,
-                multiplicity_as_frequency=True,
+        degree = spec.bond_degree()
+        for count, freq in ((1, 50), (2, 7)):
+            res = run_experiment(
+                RunConfig(
+                    topology=spec,
+                    problem=MmdpInstance(k=25),
+                    evaluation_budget=20_000,
+                    seed=12,
+                    migration_frequency=freq,
+                    migration_count=count,
+                )
             )
-        )
-        assert res.total_evaluations <= 20_000
+            assert not res.success
+            for node_id, stats in res.per_island.items():
+                assert stats.emigrants_sent == (stats.iterations // freq) * count * degree[node_id]

@@ -67,11 +67,10 @@ class TestEthane:
 class TestRing:
     def test_structure(self):
         spec = ring_topology(8, {0, 3})
-        plan = compile_channels(spec)
+        channels = compile_channels(spec)
         assert len(spec.nodes) == 8
-        assert len(plan.channels) == 8
-        out_degrees = {n.id: len(plan.outgoing(n.id)) for n in spec.nodes}
-        assert set(out_degrees.values()) == {1}
+        assert len(channels) == 8
+        assert sorted(c.src for c in channels) == sorted(spec.node_ids())
 
     def test_fast_positions(self):
         spec = ring_topology(8, {0, 3})
@@ -80,14 +79,13 @@ class TestRing:
         assert all(s < 1.0 for i, s in enumerate(speeds) if i not in (0, 3))
 
     def test_two_node_ring(self):
-        plan = compile_channels(ring_topology(2, {0}))
-        pairs = {(c.src, c.dst) for c in plan.channels}
+        channels = compile_channels(ring_topology(2, {0}))
+        pairs = {(c.src, c.dst) for c in channels}
         assert pairs == {("N0", "N1"), ("N1", "N0")}
 
     def test_all_nodes_reachable_within_n_minus_1_hops(self):
         spec = ring_topology(8, {0, 3})
-        plan = compile_channels(spec)
-        succ = {c.src: c.dst for c in plan.channels}
+        succ = {c.src: c.dst for c in compile_channels(spec)}
         reached = {"N0": 0}
         cursor = "N0"
         for hop in range(1, len(spec.nodes)):
@@ -161,9 +159,9 @@ class TestValidateHydrocarbon:
 
 class TestCompileChannels:
     def test_ethane_channel_count(self):
-        plan = compile_channels(ethane_topology("G"))
-        assert len(plan.channels) == 14
-        assert all(c.batch_size == 1 for c in plan.channels)
+        channels = compile_channels(ethane_topology("G"))
+        assert len(channels) == 14
+        assert all(c.batch_size == 1 for c in channels)
 
     def test_double_bond_batch(self):
         nodes = (
@@ -181,14 +179,13 @@ class TestCompileChannels:
             BondSpec("C1", "H2"),
             BondSpec("C1", "H3"),
         )
-        plan = compile_channels(TopologySpec(nodes, bonds))
-        doubles = [c for c in plan.channels if c.batch_size == 2]
+        doubles = [c for c in compile_channels(TopologySpec(nodes, bonds)) if c.batch_size == 2]
         assert {(c.src, c.dst) for c in doubles} == {("C0", "C1"), ("C1", "C0")}
 
     def test_ring_is_unidirectional(self):
-        plan = compile_channels(ring_topology(8, {0, 3}))
-        assert len(plan.channels) == 8
-        pairs = {(c.src, c.dst) for c in plan.channels}
+        channels = compile_channels(ring_topology(8, {0, 3}))
+        assert len(channels) == 8
+        pairs = {(c.src, c.dst) for c in channels}
         assert all((dst, src) not in pairs for src, dst in pairs)
 
     def test_invalid_spec_raises_with_violations(self):
@@ -200,8 +197,7 @@ class TestCompileChannels:
         assert err.value.violations
 
     def test_symmetric_channels_for_hydrocarbons(self):
-        plan = compile_channels(ethane_topology("S"))
-        table = {(c.src, c.dst): c.batch_size for c in plan.channels}
+        table = {(c.src, c.dst): c.batch_size for c in compile_channels(ethane_topology("S"))}
         for (src, dst), batch in table.items():
             assert table[(dst, src)] == batch
 
