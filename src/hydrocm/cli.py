@@ -48,6 +48,9 @@ SETUPS = {
     "panmictic_sa": ("kind",),
     "custom": ("kind", "topology"),
 }
+#: The setups whose slow nodes run at the config's `slow_factor`; for the
+#: others (speeds from a file, or one node at 1.0) the key is an error.
+SLOW_FACTOR_SETUPS = ("ethane_g", "ethane_s", "ring")
 
 #: Every top-level key an experiment config may hold. `mode` is kept so that
 #: existing configs load; `virtual` is its only value.
@@ -214,6 +217,8 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     slow_factor = float(slow_factor)
     problem, problem_label = _build_problem(_require(data, "problem"))
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
+    if "slow_factor" in data and setup not in SLOW_FACTOR_SETUPS:
+        raise ConfigError("slow_factor", f"setup {setup!r} does not read it")
     ga, sa = _build_ga(data.get("ga")), _build_sa(data.get("sa"))
     cost = initialization_cost(topology, ga, sa)
     budget = _as_int(_require(data, "budget"), "budget", minimum=1)

@@ -138,10 +138,10 @@ def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome
     return child
 
 
-def mutate(genome: Genome, p_per_bit: float, rng, out: Genome | None = None) -> Genome:
-    """Flip each bit independently with probability p_per_bit. The result
-    goes to `out` when given (which may be `genome` itself), else to a new
-    array.
+def flip_positions(length: int, p_per_bit: float, rng) -> list[int]:
+    """Ascending positions of an independent per-bit flip with probability
+    p_per_bit over `length` bits. Rate 0 gives none and rate 1 gives every
+    position, neither with a draw.
 
     The gaps between flips are sampled instead of the bits: the number of
     bits skipped before the next flip is geometric, `int(log(1 - u) /
@@ -149,23 +149,32 @@ def mutate(genome: Genome, p_per_bit: float, rng, out: Genome | None = None) -> 
     draws rather than L."""
     if not 0.0 <= p_per_bit <= 1.0:
         raise ValueError(f"p_per_bit must be in [0,1], got {p_per_bit}")
+    if p_per_bit == 1.0:
+        return list(range(length))
+    positions: list[int] = []
+    if p_per_bit == 0.0:
+        return positions
+    log_q = math.log1p(-p_per_bit)
+    log, random, append = math.log, rng.random, positions.append
+    # u is in [0, 1), so log(1 - u) is finite
+    i = int(log(1.0 - random()) / log_q)
+    while i < length:
+        append(i)
+        i += 1 + int(log(1.0 - random()) / log_q)
+    return positions
+
+
+def mutate(genome: Genome, p_per_bit: float, rng, out: Genome | None = None) -> Genome:
+    """Flip each bit independently with probability p_per_bit, at the
+    positions `flip_positions` draws. The result goes to `out` when given
+    (which may be `genome` itself), else to a new array."""
     if out is None:
         out = genome.copy()
     elif out is not genome:
         out[:] = genome
-    if p_per_bit == 0.0:
-        return out
-    if p_per_bit == 1.0:
-        return np.bitwise_xor(out, 1, out=out)
-    length = out.shape[0]
-    log_q = math.log1p(-p_per_bit)
-    log, random = math.log, rng.random
     bits = memoryview(out)  # scalar writes without a numpy call each
-    # u is in [0, 1), so log(1 - u) is finite
-    i = int(log(1.0 - random()) / log_q)
-    while i < length:
+    for i in flip_positions(out.shape[0], p_per_bit, rng):
         bits[i] ^= 1
-        i += 1 + int(log(1.0 - random()) / log_q)
     return out
 
 

@@ -2,6 +2,12 @@
 multimodal deceptive problem (MMDP), plus seeded instance generation.
 
 All operations are pure; genomes are 1-D numpy uint8 arrays of 0/1.
+
+Besides `evaluate`, each instance offers a tally: an additive summary of
+a genome from which its fitness follows exactly. `tally(genome)` computes
+it, `flip(tally, genome, positions)` updates it for flipped bits without
+touching the genome, and `fitness_of(tally)` equals `evaluate` on the
+genome bit for bit. The annealer scores its moves this way.
 """
 
 from __future__ import annotations
@@ -75,16 +81,32 @@ class MmdpInstance:
         return float(self.k)
 
     def evaluate(self, genome: Genome) -> float:
-        return mmdp_fitness(genome, self)
+        """Sum of the deception subfunction over consecutive disjoint 6-bit
+        blocks."""
+        # the body of `tally`, inlined: this is the hot full evaluation
+        if genome.shape[0] != self.length:
+            raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
+        return self.fitness_of(genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES))
 
+    def tally(self, genome: Genome) -> np.ndarray:
+        """Unitation of each 6-bit block, a uint8 vector of length k."""
+        if genome.shape[0] != self.length:
+            raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
+        return genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES)
 
-def mmdp_fitness(genome: Genome, inst: MmdpInstance) -> float:
-    """Sum of the deception subfunction over consecutive disjoint 6-bit blocks."""
-    if genome.shape[0] != inst.length:
-        raise ValueError(f"genome length {genome.shape[0]} != {inst.length} (k={inst.k})")
-    u = genome.reshape(inst.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES)
-    # np.add.reduce is what ndarray.sum calls: the same pairwise float sum
-    return float(np.add.reduce(_MMDP_SUBFUNCTION.take(u)))
+    def flip(self, tally: np.ndarray, genome: Genome, positions) -> np.ndarray:
+        """Tally of `genome` with the distinct `positions` flipped, as a new
+        vector; `tally` and `genome` are left as they are."""
+        out = tally.copy()
+        u, bits = memoryview(out), memoryview(genome)
+        for i in positions:
+            u[i // MMDP_BLOCK_BITS] += -1 if bits[i] else 1
+        return out
+
+    def fitness_of(self, tally: np.ndarray) -> float:
+        """Sum of the deception subfunction over the block unitations."""
+        # np.add.reduce is what ndarray.sum calls: the same pairwise float sum
+        return float(np.add.reduce(_MMDP_SUBFUNCTION.take(tally)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +121,8 @@ class SubsetSumInstance:
     #: float64 copy of `weights` for a BLAS dot product, exact because
     #: every partial sum is an integer far below 2**53
     weights_f64: np.ndarray = field(init=False, repr=False)
+    #: `weights` as Python ints, for `flip`'s scalar reads
+    _weights_list: list = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.int64)
@@ -112,6 +136,7 @@ class SubsetSumInstance:
         if not 0 <= self.known_optimum <= self.capacity:
             raise ValueError("known_optimum must lie in [0, capacity]")
         object.__setattr__(self, "weights_f64", w.astype(np.float64))
+        object.__setattr__(self, "_weights_list", w.tolist())
 
     @property
     def length(self) -> int:
@@ -122,22 +147,37 @@ class SubsetSumInstance:
         return float(self.known_optimum)
 
     def evaluate(self, genome: Genome) -> float:
-        return ssp_fitness(genome, self)
+        """Subset sum with a reflected over-capacity penalty; see
+        `fitness_of`."""
+        # the body of `tally`, inlined: this is the hot full evaluation
+        if genome.shape[0] != self.length:
+            raise ValueError(f"genome length {genome.shape[0]} != {self.length} weights")
+        return self.fitness_of(int(self.weights_f64.dot(genome)))
 
+    def tally(self, genome: Genome) -> int:
+        """The subset sum of `genome`."""
+        if genome.shape[0] != self.length:
+            raise ValueError(f"genome length {genome.shape[0]} != {self.length} weights")
+        return int(self.weights_f64.dot(genome))
 
-def ssp_fitness(genome: Genome, inst: SubsetSumInstance) -> float:
-    """Subset sum with a reflected over-capacity penalty.
+    def flip(self, tally: int, genome: Genome, positions) -> int:
+        """Subset sum of `genome` with the distinct `positions` flipped;
+        `genome` is left as it is."""
+        w, bits = self._weights_list, memoryview(genome)
+        for i in positions:
+            if bits[i]:
+                tally -= w[i]
+            else:
+                tally += w[i]
+        return tally
 
-    For subset sum s: returns s when s <= C, else max(0, C - (s - C)),
-    so fitness always lies in [0, C] and the optimum test is exact.
-    """
-    if genome.shape[0] != inst.length:
-        raise ValueError(f"genome length {genome.shape[0]} != {inst.length} weights")
-    s = int(inst.weights_f64.dot(genome))
-    c = inst.capacity
-    if s <= c:
-        return float(s)
-    return float(max(0, c - (s - c)))
+    def fitness_of(self, tally: int) -> float:
+        """For subset sum s: s when s <= C, else max(0, C - (s - C)), so
+        fitness always lies in [0, C] and the optimum test is exact."""
+        c = self.capacity
+        if tally <= c:
+            return float(tally)
+        return float(max(0, c - (tally - c)))
 
 
 def generate_ssp_instance(n: int, seed: int) -> SubsetSumInstance:

@@ -2,6 +2,10 @@
 default cooling schedule (T_k = t0 / (1 + rate*k)); a geometric schedule
 is available behind the same interface. The framework maximizes fitness,
 so the acceptance exponent uses delta = f_current - f_candidate.
+
+A move is a set of bit flips. It is scored from the problem's tally of
+the current solution (see `hydrocm.problems`) and applied to the current
+genome in place only if accepted, so a rejected move copies nothing.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ga import Individual, default_mutation_rate, mutate
+from .ga import Individual, default_mutation_rate, flip_positions
 from .problems import Genome, random_genome
 
 SCHEDULES = ("fast", "geometric")
@@ -55,21 +59,24 @@ class SaParams:
 
 @dataclass
 class SaState:
-    """Annealing state: current solution, best-so-far, and the cooling
-    position. Owned by exactly one island."""
+    """Annealing state: current solution, its tally, best-so-far, and the
+    cooling position. Owned by exactly one island; `current.genome` is
+    changed in place and never shared."""
 
     current: Individual
     best: Individual
+    tally: object
     t0: float
     temperature: float
     step: int = 0
 
 
-def perturb(genome: Genome, p_per_bit: float, rng) -> Genome:
-    """Independent per-bit flips; the move generator of the annealer."""
+def perturb(length: int, p_per_bit: float, rng) -> list[int]:
+    """The annealer's move generator: the positions of independent
+    per-bit flips over `length` bits."""
     if not 0.0 < p_per_bit <= 1.0:
         raise ValueError(f"p_per_bit must be in (0,1], got {p_per_bit}")
-    return mutate(genome, p_per_bit, rng)
+    return flip_positions(length, p_per_bit, rng)
 
 
 def accept(f_current: float, f_candidate: float, temperature: float, rng) -> bool:
@@ -103,22 +110,30 @@ def init_sa_state(params: SaParams, problem, rng) -> tuple[SaState, int]:
     """Fresh state from a random solution; returns (state, evaluations),
     counting the initial evaluation and any t0 estimation samples."""
     genome = random_genome(problem.length, rng)
-    f = problem.evaluate(genome)
+    tally = problem.tally(genome)
+    f = problem.fitness_of(tally)
     t0 = params.t0 if params.t0 is not None else estimate_t0(problem, rng)
     current = Individual(genome, f)
-    state = SaState(current=current, best=current.copy(), t0=t0, temperature=t0)
+    state = SaState(current=current, best=current.copy(), tally=tally, t0=t0, temperature=t0)
     return state, params.init_evaluations
 
 
 def sa_step(state: SaState, params: SaParams, problem, rng) -> tuple[SaState, int]:
-    """One annealing move: perturb, evaluate (one evaluation), accept or
-    reject, update best, cool, advance the step counter."""
-    cand = perturb(state.current.genome, params.p_perturb_per_bit, rng)
-    f = problem.evaluate(cand)
-    if accept(state.current.fitness, f, state.temperature, rng):
-        state.current = Individual(cand, f)
+    """One annealing move: draw the flips, score them from the tally (one
+    evaluation), accept or reject, update best, cool, advance the step
+    counter. An accepted move flips the current genome in place."""
+    cur = state.current
+    positions = perturb(cur.genome.shape[0], params.p_perturb_per_bit, rng)
+    tally = problem.flip(state.tally, cur.genome, positions)
+    f = problem.fitness_of(tally)
+    if accept(cur.fitness, f, state.temperature, rng):
+        bits = memoryview(cur.genome)
+        for i in positions:
+            bits[i] ^= 1
+        cur.fitness = f
+        state.tally = tally
         if f > state.best.fitness:
-            state.best = state.current.copy()
+            state.best = cur.copy()
     state.step += 1
     state.temperature = update_temperature(state.t0, state.step, params)
     return state, 1
@@ -126,12 +141,13 @@ def sa_step(state: SaState, params: SaParams, problem, rng) -> tuple[SaState, in
 
 def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> SaState:
     """Treat an immigrant genome as a proposed move at the current
-    temperature (costs one evaluation). The cooling position is untouched."""
-    if genome.shape[0] != problem.length:
-        raise ValueError(f"immigrant length {genome.shape[0]} != {problem.length}")
-    f = problem.evaluate(genome)
+    temperature (costs one evaluation); it is copied only if accepted. The
+    cooling position is untouched."""
+    tally = problem.tally(genome)
+    f = problem.fitness_of(tally)
     if accept(state.current.fitness, f, state.temperature, rng):
         state.current = Individual(genome.copy(), f)
+        state.tally = tally
         if f > state.best.fitness:
             state.best = state.current.copy()
     return state

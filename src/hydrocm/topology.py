@@ -8,6 +8,7 @@ a separate kind that bypasses valence rules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,8 +50,10 @@ class NodeSpec:
             raise ValueError(f"unknown atom {self.atom!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.speed_factor <= 0:
-            raise ValueError(f"speed_factor must be positive, got {self.speed_factor}")
+        sf = self.speed_factor
+        if isinstance(sf, bool) or not isinstance(sf, (int, float)) or not (math.isfinite(sf) and sf > 0):
+            raise ValueError(f"speed_factor must be a finite positive number, got {sf!r}")
+        object.__setattr__(self, "speed_factor", float(sf))
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,9 @@ class BondSpec:
     def __post_init__(self):
         if self.a == self.b:
             raise ValueError(f"bond endpoints must differ, got {self.a!r} twice")
-        if self.multiplicity not in (1, 2, 3):
-            raise ValueError(f"multiplicity must be 1, 2 or 3, got {self.multiplicity}")
+        m = self.multiplicity
+        if isinstance(m, bool) or not isinstance(m, int) or m not in (1, 2, 3):
+            raise ValueError(f"multiplicity must be the integer 1, 2 or 3, got {m!r}")
 
     @property
     def pair(self) -> frozenset:
@@ -325,25 +329,36 @@ def topology_to_dict(spec: TopologySpec) -> dict:
     }
 
 
+def _check_keys(mapping, allowed: tuple[str, ...], required: tuple[str, ...], what: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{what} must be a mapping, got {mapping!r}")
+    for key in mapping:
+        if key not in allowed:
+            raise ValueError(f"{what}: unknown key {key!r}")
+    for key in required:
+        if key not in mapping:
+            raise ValueError(f"{what} missing {key!r}")
+
+
 def topology_from_dict(data: dict) -> TopologySpec:
-    if not isinstance(data, dict):
-        raise ValueError("topology document must be a mapping")
-    for key in ("nodes", "bonds"):
-        if key not in data:
-            raise ValueError(f"topology document missing {key!r}")
-    nodes = tuple(
-        NodeSpec(
-            id=str(n["id"]),
-            atom=n.get("atom", CARBON),
-            algorithm=n.get("algorithm", SSGA),
-            speed_factor=float(n.get("speed_factor", 1.0)),
+    """The spec a topology document describes. Unknown keys and values of
+    the wrong type are errors; nothing is truncated or ignored."""
+    _check_keys(data, ("kind", "nodes", "bonds"), ("nodes", "bonds"), "topology document")
+    nodes = []
+    for n in data["nodes"]:
+        _check_keys(n, ("id", "atom", "algorithm", "speed_factor"), ("id",), "node")
+        nodes.append(
+            NodeSpec(
+                id=str(n["id"]),
+                atom=n.get("atom", CARBON),
+                algorithm=n.get("algorithm", SSGA),
+                speed_factor=n.get("speed_factor", 1.0),
+            )
         )
-        for n in data["nodes"]
-    )
-    bonds = tuple(
-        BondSpec(a=str(b["a"]), b=str(b["b"]), multiplicity=int(b.get("multiplicity", 1)))
-        for b in data["bonds"]
-    )
+    bonds = []
+    for b in data["bonds"]:
+        _check_keys(b, ("a", "b", "multiplicity"), ("a", "b"), "bond")
+        bonds.append(BondSpec(a=str(b["a"]), b=str(b["b"]), multiplicity=b.get("multiplicity", 1)))
     return TopologySpec(nodes, bonds, data.get("kind", KIND_HYDROCARBON))
 
 

@@ -16,7 +16,8 @@ def panmictic(algorithm, problem, budget, seed):
 
 
 class CountingProblem:
-    """Wraps a problem and counts fitness evaluations."""
+    """Wraps a problem and counts fitness evaluations: full ones through
+    `evaluate` and tally-based ones through `fitness_of`."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -34,6 +35,16 @@ class CountingProblem:
         self.count += 1
         return self.inner.evaluate(genome)
 
+    def tally(self, genome):
+        return self.inner.tally(genome)
+
+    def flip(self, tally, genome, positions):
+        return self.inner.flip(tally, genome, positions)
+
+    def fitness_of(self, tally):
+        self.count += 1
+        return self.inner.fitness_of(tally)
+
 
 class ConstantProblem:
     """Every genome has the same fitness; the optimum is unreachable."""
@@ -44,6 +55,15 @@ class ConstantProblem:
         self.optimum = value + 1.0
 
     def evaluate(self, genome):
+        return self.value
+
+    def tally(self, genome):
+        return None
+
+    def flip(self, tally, genome, positions):
+        return None
+
+    def fitness_of(self, tally):
         return self.value
 
 

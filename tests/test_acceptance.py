@@ -17,9 +17,7 @@ from hydrocm.ga import GaParams, Individual, _offspring_step, immigrate, init_po
 from hydrocm.problems import (
     MmdpInstance,
     generate_ssp_instance,
-    mmdp_fitness,
     mmdp_subfunction,
-    ssp_fitness,
 )
 from hydrocm.sa import SaParams, accept, init_sa_state, inject_immigrant, sa_step, update_temperature
 from hydrocm.seeding import node_rng
@@ -40,7 +38,7 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
 def test_criterion_1_mmdp_table_fidelity():
     expected = ["1.000000", "0.000000", "0.360384", "0.640576", "0.360384", "0.000000", "1.000000"]
     table_ok = all(f"{mmdp_subfunction(u):.6f}" == expected[u] for u in range(7))
-    optimum_ok = mmdp_fitness(np.ones(150, dtype=np.uint8), MmdpInstance(k=25)) == 25.0
+    optimum_ok = MmdpInstance(k=25).evaluate(np.ones(150, dtype=np.uint8)) == 25.0
     report(1, "mmdp table fidelity", table_ok and optimum_ok)
 
 
@@ -80,7 +78,7 @@ def test_criterion_4_ssp_oracle_equivalence():
             sums <= inst.capacity, sums, np.maximum(0, inst.capacity - (sums - inst.capacity))
         )
         spot_checks = all(
-            ssp_fitness(masks[i].astype(np.uint8), inst) == float(fitness[i])
+            inst.evaluate(masks[i].astype(np.uint8)) == float(fitness[i])
             for i in rng.integers(0, 1 << n, size=50)
         )
         bounded = bool((fitness <= inst.capacity).all())

@@ -7,7 +7,7 @@ import yaml
 
 from hydrocm.cli import main
 from hydrocm.records import read_records
-from hydrocm.topology import ethane_topology, load_topology, ring_topology
+from hydrocm.topology import ethane_topology, load_topology, ring_topology, topology_to_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -214,9 +214,30 @@ class TestRun:
 
     @pytest.mark.parametrize("value", ["fast", float("nan"), float("inf"), 0, True])
     def test_bad_slow_factor_is_config_error(self, tmp_path, capsys, value):
-        cfg = write_config(tmp_path / "exp.yaml", slow_factor=value)
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_g"}, slow_factor=value)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'slow_factor'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setup, reads_it",
+        [
+            ({"kind": "ethane_g"}, True),
+            ({"kind": "ethane_s"}, True),
+            ({"kind": "ring"}, True),
+            ({"kind": "custom", "topology": str(REPO_ROOT / "topologies" / "ethane_g.topology")}, False),
+            ({"kind": "panmictic_ssga"}, False),
+            ({"kind": "panmictic_sa"}, False),
+        ],
+        ids=lambda v: v["kind"] if isinstance(v, dict) else str(v),
+    )
+    def test_slow_factor_only_where_read(self, tmp_path, capsys, setup, reads_it):
+        cfg = write_config(tmp_path / "exp.yaml", setup=setup, slow_factor=0.5, repetitions=1, budget=2_000)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        if reads_it:
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert "config field 'slow_factor'" in capsys.readouterr().err
 
     def test_exit_zero_even_with_failures(self, tmp_path):
         cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, budget=200, repetitions=2)
@@ -323,6 +344,42 @@ class TestValidateTopology:
         path.write_text(yaml.safe_dump(doc))
         assert main(["validate-topology", str(path)]) == 1
         assert "disconnected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("document", "edges", []),
+            ("node", "speed", 0.2),
+            ("bond", "weight", 2),
+            ("bond", "multiplicity", 1.7),
+            ("bond", "multiplicity", True),
+            ("bond", "multiplicity", "2"),
+            ("node", "speed_factor", float("nan")),
+            ("node", "speed_factor", float("inf")),
+            ("node", "speed_factor", "fast"),
+            ("node", "speed_factor", True),
+        ],
+    )
+    def test_unknown_key_or_bad_number_is_input_error(self, tmp_path, capsys, where, key, value):
+        doc = topology_to_dict(ethane_topology("G"))
+        target = {"document": doc, "node": doc["nodes"][2], "bond": doc["bonds"][1]}[where]
+        target[key] = value
+        path = tmp_path / "bad.topology"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["validate-topology", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'setup.topology'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key", [("document", "bonds"), ("node", "id"), ("bond", "a"), ("bond", "b")])
+    def test_missing_key_is_input_error(self, tmp_path, capsys, where, key):
+        doc = topology_to_dict(ethane_topology("G"))
+        del {"document": doc, "node": doc["nodes"][2], "bond": doc["bonds"][1]}[where][key]
+        path = tmp_path / "bad.topology"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["validate-topology", str(path)]) == 2
+        assert f"missing '{key}'" in capsys.readouterr().err
 
     def test_parse_failure_is_input_error(self, tmp_path):
         path = tmp_path / "broken.topology"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from hydrocm.ga import (
     Population,
     _offspring_step,
     _tournament_index,
+    flip_positions,
     immigrate,
     init_population,
     mutate,
@@ -176,6 +179,39 @@ class TestMutate:
 
         assert mutate(g, 0.05, node_rng(41), out=g) is g
         assert np.array_equal(g, fresh)
+
+
+def gap_mutate_reference(genome, p, rng):
+    """Gap-sampling mutation written as one plain loop: the reference for
+    the flips `flip_positions` returns and the draws it consumes."""
+    out = genome.copy()
+    if p == 1.0:
+        return 1 - out
+    log_q = math.log1p(-p)
+    i = int(math.log(1.0 - rng.random()) / log_q)
+    while i < len(out):
+        out[i] ^= 1
+        i += 1 + int(math.log(1.0 - rng.random()) / log_q)
+    return out
+
+
+class TestFlipPositions:
+    @pytest.mark.parametrize("length", [30, 150, 2048])
+    @pytest.mark.parametrize("rate", ["4/L", "1"])
+    def test_same_flips_and_draws_as_mutate(self, length, rate):
+        p = 4.0 / length if rate == "4/L" else 1.0
+        sampler, mutator, reference = node_rng(53), node_rng(53), node_rng(53)
+        g = np.zeros(length, dtype=np.uint8)
+        for _ in range(500):
+            positions = flip_positions(length, p, sampler)
+            assert positions == np.flatnonzero(mutate(g, p, mutator)).tolist()
+            assert positions == np.flatnonzero(gap_mutate_reference(g, p, reference)).tolist()
+            # all three RNGs are left at the same position of the stream
+            assert sampler.random() == mutator.random() == reference.random()
+
+    def test_rejects_bad_rate(self, rng):
+        with pytest.raises(ValueError):
+            flip_positions(4, -0.1, rng)
 
 
 class TestSsgaStep:

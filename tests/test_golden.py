@@ -38,6 +38,11 @@ CASES = {
     "mmdp5-panmictic_ssga": {"problem": MMDP5, "setup": {"kind": "panmictic_ssga"}},
     "mmdp5-panmictic_sa": {"problem": MMDP5, "setup": {"kind": "panmictic_sa"}},
     "ssp64-ethane_s": {"problem": {"kind": "ssp", "n": 64, "seed": 7}, "setup": {"kind": "ethane_s"}},
+    "ssp64-ethane_g": {"problem": {"kind": "ssp", "n": 64, "seed": 7}, "setup": {"kind": "ethane_g"}},
+    "ssp2048-panmictic_sa": {
+        "problem": {"kind": "ssp", "n": 2048, "seed": 3},
+        "setup": {"kind": "panmictic_sa"},
+    },
     "mmdp25-ring8-mig1": {
         "problem": {"kind": "mmdp", "k": 25},
         "setup": RING8,

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -13,11 +14,9 @@ from hydrocm.problems import (
     generate_ssp_instance,
     is_optimum,
     load_instance,
-    mmdp_fitness,
     mmdp_subfunction,
     random_genome,
     save_instance,
-    ssp_fitness,
     unitation,
 )
 
@@ -75,32 +74,101 @@ class TestMmdpSubfunction:
 class TestMmdpFitness:
     def test_all_ones_is_global_optimum(self):
         inst = MmdpInstance(k=25)
-        assert mmdp_fitness(np.ones(150, dtype=np.uint8), inst) == 25.0
+        assert inst.evaluate(np.ones(150, dtype=np.uint8)) == 25.0
 
     def test_two_uniform_blocks(self):
-        assert mmdp_fitness(bits("000000111111"), MmdpInstance(k=2)) == 2.0
+        assert MmdpInstance(k=2).evaluate(bits("000000111111")) == 2.0
 
     def test_single_block_three_ones(self):
-        assert mmdp_fitness(bits("010110"), MmdpInstance(k=1)) == 0.640576
+        assert MmdpInstance(k=1).evaluate(bits("010110")) == 0.640576
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            mmdp_fitness(bits("0101"), MmdpInstance(k=1))
+            MmdpInstance(k=1).evaluate(bits("0101"))
 
     @given(st.integers(1, 8), st.data())
     def test_complement_symmetry(self, k, data):
         g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
         inst = MmdpInstance(k=k)
-        assert mmdp_fitness(g, inst) == mmdp_fitness(1 - g, inst)
+        assert inst.evaluate(g) == inst.evaluate(1 - g)
 
     @given(st.integers(1, 8), st.data())
     def test_bounds_and_optimality_condition(self, k, data):
         g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
         inst = MmdpInstance(k=k)
-        f = mmdp_fitness(g, inst)
+        f = inst.evaluate(g)
         assert 0.0 <= f <= k
         blocks_uniform = all(int(b.sum()) in (0, 6) for b in g.reshape(k, 6))
         assert (f == float(k)) == blocks_uniform
+
+
+TALLY_PROBLEMS = {
+    "mmdp1": MmdpInstance(k=1),
+    "mmdp5": MmdpInstance(k=5),
+    "mmdp25": MmdpInstance(k=25),
+    "ssp16": generate_ssp_instance(16, seed=5),
+    "ssp64": generate_ssp_instance(64, seed=7),
+    "ssp2048": generate_ssp_instance(2048, seed=3),
+}
+
+
+def flipped(g, positions):
+    out = g.copy()
+    out[list(positions)] ^= 1
+    return out
+
+
+class TestTally:
+    """The annealer scores a move as `fitness_of(flip(tally(g), g, pos))`.
+    That must equal a full evaluation of the flipped genome bit for bit,
+    or golden records would drift."""
+
+    @pytest.mark.parametrize("name", sorted(TALLY_PROBLEMS))
+    @given(data=st.data())
+    def test_flip_matches_full_evaluation(self, name, data):
+        inst = TALLY_PROBLEMS[name]
+        n = inst.length
+        # dense genomes put subset sums over capacity
+        density = data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = (rng.random(n) < density).astype(np.uint8)
+        positions = data.draw(
+            st.one_of(
+                st.sets(st.integers(0, n - 1), max_size=min(n, 12)).map(sorted),
+                st.just(list(range(n))),
+            )
+        )
+        g_before = g.copy()
+        t = inst.tally(g)
+        t_before = copy.copy(t)
+        moved = inst.flip(t, g, positions)
+        assert inst.fitness_of(moved).hex() == inst.evaluate(flipped(g, positions)).hex()
+        assert inst.fitness_of(t).hex() == inst.evaluate(g).hex()
+        assert np.array_equal(inst.tally(flipped(g, positions)), moved)
+        assert np.array_equal(g, g_before)
+        assert np.array_equal(t, t_before)
+
+    @pytest.mark.parametrize("name", ["ssp16", "ssp64", "ssp2048"])
+    def test_ssp_flips_across_capacity(self, name):
+        # add weights in random order until the sum passes capacity; the
+        # bit that crosses it, flipped both ways, scores as evaluate does
+        inst = TALLY_PROBLEMS[name]
+        order = np.random.default_rng(1).permutation(inst.length)
+        cross = int(np.argmax(np.cumsum(inst.weights[order]) > inst.capacity))
+        under = np.zeros(inst.length, np.uint8)
+        under[order[:cross]] = 1
+        over = flipped(under, [order[cross]])
+        assert inst.tally(under) <= inst.capacity < inst.tally(over)
+        for g in (under, over):
+            moved = inst.flip(inst.tally(g), g, [order[cross]])
+            assert inst.fitness_of(moved) == inst.evaluate(flipped(g, [order[cross]]))
+
+    @pytest.mark.parametrize("name", sorted(TALLY_PROBLEMS))
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_tally_rejects_wrong_length(self, name, delta):
+        inst = TALLY_PROBLEMS[name]
+        with pytest.raises(ValueError):
+            inst.tally(np.zeros(inst.length + delta, np.uint8))
 
 
 class TestFitnessBitIdentity:
@@ -112,7 +180,7 @@ class TestFitnessBitIdentity:
     def test_mmdp_equals_block_sum_reference(self, k, data):
         g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
         reference = float(_MMDP_SUBFUNCTION.take(g.reshape(k, 6).sum(axis=1)).sum())
-        assert mmdp_fitness(g, MmdpInstance(k=k)).hex() == reference.hex()
+        assert MmdpInstance(k=k).evaluate(g).hex() == reference.hex()
 
     @staticmethod
     def ssp_reference(g, inst):
@@ -124,7 +192,7 @@ class TestFitnessBitIdentity:
     def test_ssp_equals_int64_reference(self, n, seed, data):
         inst = generate_ssp_instance(n, seed)
         g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
-        assert ssp_fitness(g, inst) == self.ssp_reference(g, inst)
+        assert inst.evaluate(g) == self.ssp_reference(g, inst)
 
     @pytest.mark.parametrize(
         "inst",
@@ -143,7 +211,7 @@ class TestFitnessBitIdentity:
         over = 0
         for g in genomes:
             over += int(inst.weights @ g) > inst.capacity
-            assert ssp_fitness(g, inst) == self.ssp_reference(g, inst)
+            assert inst.evaluate(g) == self.ssp_reference(g, inst)
         assert over >= 50
 
 
@@ -154,25 +222,25 @@ class TestSspFitness:
         assert brute_force_ssp(self.inst) == 16
 
     def test_exact_capacity_mask(self):
-        assert ssp_fitness(bits("1001"), self.inst) == 16.0
+        assert self.inst.evaluate(bits("1001")) == 16.0
 
     def test_empty_subset(self):
-        assert ssp_fitness(bits("0000"), self.inst) == 0.0
+        assert self.inst.evaluate(bits("0000")) == 0.0
 
     def test_over_capacity_penalty(self):
         # all four weights sum to 29; the reflected penalty gives 16-(29-16)=3
         total = int(self.inst.weights.sum())
         expected = max(0, self.inst.capacity - (total - self.inst.capacity))
         assert expected == 3
-        assert ssp_fitness(bits("1111"), self.inst) == float(expected)
+        assert self.inst.evaluate(bits("1111")) == float(expected)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            ssp_fitness(bits("101"), self.inst)
+            self.inst.evaluate(bits("101"))
 
     def test_fitness_bounded_by_capacity_all_masks(self):
         for mask in itertools.product((0, 1), repeat=4):
-            f = ssp_fitness(np.array(mask, dtype=np.uint8), self.inst)
+            f = self.inst.evaluate(np.array(mask, dtype=np.uint8))
             assert 0.0 <= f <= self.inst.capacity
 
     @given(st.integers(0, 2**31 - 1))
@@ -183,7 +251,7 @@ class TestSspFitness:
         rng = np.random.default_rng(seed)
         for _ in range(20):
             g = random_genome(10, rng)
-            assert 0.0 <= ssp_fitness(g, inst) <= inst.capacity
+            assert 0.0 <= inst.evaluate(g) <= inst.capacity
 
 
 class TestGenerateSspInstance:

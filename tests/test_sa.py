@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hydrocm.ga import Individual
-from hydrocm.problems import MmdpInstance, generate_ssp_instance
+from hydrocm import sa as sa_mod
+from hydrocm.problems import MmdpInstance, generate_ssp_instance, random_genome
 from hydrocm.sa import (
     SaParams,
     SaState,
@@ -41,17 +42,15 @@ class TestSaParams:
 
 class TestPerturb:
     def test_rate_one_is_complement(self, rng):
-        g = np.array([1, 0, 0, 1], dtype=np.uint8)
-        assert np.array_equal(perturb(g, 1.0, rng), 1 - g)
+        assert perturb(4, 1.0, rng) == [0, 1, 2, 3]
 
     def test_zero_rate_rejected(self, rng):
         with pytest.raises(ValueError):
-            perturb(np.zeros(4, np.uint8), 0.0, rng)
+            perturb(4, 0.0, rng)
 
     def test_expected_flip_count(self):
         rng = node_rng(8)
-        g = np.zeros(150, dtype=np.uint8)
-        flips = [int(perturb(g, 4.0 / 150, rng).sum()) for _ in range(10_000)]
+        flips = [len(perturb(150, 4.0 / 150, rng)) for _ in range(10_000)]
         assert abs(np.mean(flips) - 4.0) < 0.1
 
 
@@ -144,6 +143,52 @@ class TestSaStep:
         assert state.temperature == t0 / 3.0
 
 
+class TestInPlaceMoves:
+    """`current.genome` is changed in place and owned by the state alone."""
+
+    @pytest.mark.parametrize(
+        "problem", [MmdpInstance(k=5), generate_ssp_instance(64, seed=7)], ids=["mmdp5", "ssp64"]
+    )
+    def test_moves_and_tally_over_many_steps(self, problem, monkeypatch):
+        moves, verdicts = [], []
+
+        def perturb_spy(*args):
+            moves.append(perturb(*args))
+            return moves[-1]
+
+        def accept_spy(*args):
+            verdicts.append(accept(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(sa_mod, "perturb", perturb_spy)
+        monkeypatch.setattr(sa_mod, "accept", accept_spy)
+        state, params, rng, _ = fresh_state(problem, seed=14)
+        immigrant_rng = np.random.default_rng(15)
+        rejected = 0
+        for step in range(10_000):
+            if step % 500 == 499:
+                immigrant = random_genome(problem.length, immigrant_rng)
+                inject_immigrant(state, immigrant, problem, rng)
+                assert not np.shares_memory(state.current.genome, immigrant)
+            genome = state.current.genome
+            before, f_before = genome.copy(), state.current.fitness
+            sa_step(state, params, problem, rng)
+            assert state.current.genome is genome
+            if verdicts[-1]:
+                expected = before.copy()
+                expected[moves[-1]] ^= 1
+                assert np.array_equal(genome, expected)
+            else:
+                rejected += 1
+                assert np.array_equal(genome, before)
+                assert state.current.fitness == f_before
+            assert state.current.fitness == problem.evaluate(genome)
+            assert np.array_equal(state.tally, problem.tally(genome))
+            assert not np.shares_memory(state.best.genome, genome)
+            assert not np.shares_memory(select_emigrant_sa(state).genome, genome)
+        assert rejected > 1_000
+
+
 class TestInjectImmigrant:
     def test_fitter_immigrant_adopted(self):
         prob = MmdpInstance(k=1)
@@ -164,11 +209,20 @@ class TestInjectImmigrant:
             def evaluate(self, genome):
                 return 0.0  # every immigrant looks terrible
 
+            def tally(self, genome):
+                return None
+
+            def flip(self, tally, genome, positions):
+                return None
+
+            def fitness_of(self, tally):
+                return 0.0
+
         two = TwoLevel()
         rejected = 0
         trials = 10_000
         for _ in range(trials):
-            state = SaState(current=good.copy(), best=good.copy(), t0=1.0, temperature=1e-6)
+            state = SaState(current=good.copy(), best=good.copy(), tally=None, t0=1.0, temperature=1e-6)
             inject_immigrant(state, np.ones(6, dtype=np.uint8), two, rng)
             if state.current.fitness == 10.0:
                 rejected += 1
