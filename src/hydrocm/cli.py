@@ -24,7 +24,14 @@ from .records import (
     write_trace,
 )
 from .sa import SaParams
-from .stats import SummaryRow, mann_whitney_u, mean_std, summarize_experiment
+from .stats import (
+    SUMMARY_COLUMNS,
+    format_speedup,
+    mann_whitney_u,
+    speedup,
+    summarize_experiment,
+    summary_cells,
+)
 from .topology import (
     ethane_topology,
     load_topology,
@@ -131,8 +138,6 @@ def _build_problem(data):
 
 
 def _build_setup(data, slow_factor: float, cfg_dir: Path):
-    if isinstance(data, str):
-        data = {"kind": data}
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("setup", "expected a mapping with a 'kind'")
     kind = data["kind"]
@@ -244,25 +249,6 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     )
 
 
-def _summary_csv(row: SummaryRow) -> str:
-    def fmt(v):
-        return "*" if v is None else f"{v}"
-
-    return ",".join(
-        [
-            row.algorithm,
-            row.problem,
-            str(row.runs),
-            str(row.successes),
-            f"{row.success_rate}",
-            fmt(row.eval_mean),
-            fmt(row.eval_std),
-            fmt(row.time_mean),
-            fmt(row.time_std),
-        ]
-    )
-
-
 def cmd_run(args) -> int:
     overrides = {}
     if args.seed is not None:
@@ -296,9 +282,15 @@ def cmd_run(args) -> int:
         return EXIT_IO
 
     summary = summarize_experiment(rows, algorithm=cfg.setup, problem=cfg.problem_label)
-    print("algorithm,problem,runs,successes,success_rate,eval_mean,eval_std,time_mean,time_std")
-    print(_summary_csv(summary))
+    print(",".join(["algorithm", "problem", *SUMMARY_COLUMNS]))
+    print(",".join([summary.algorithm, summary.problem, *summary_cells(summary)]))
     return EXIT_OK
+
+
+def _report_label(path: Path) -> str:
+    """A report row's label: the directory of a `records.csv` (the file
+    `hydrocm run` writes), else the file's stem."""
+    return path.absolute().parent.name if path.name == "records.csv" else path.stem
 
 
 def cmd_report(args) -> int:
@@ -306,10 +298,13 @@ def cmd_report(args) -> int:
         groups = []
         for record_file in args.records:
             path = Path(record_file)
+            label = _report_label(path)
+            if label in (other for other, _ in groups):
+                raise ValueError(f"{path}: label {label!r} is already taken by another record file")
             rows = read_records(path)
             if not rows:
                 raise ValueError(f"{path}: no run records")
-            groups.append((path.stem, rows))
+            groups.append((label, rows))
         sequential = None
         if args.sequential:
             sequential = read_records(Path(args.sequential))
@@ -320,48 +315,23 @@ def cmd_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    labels = [label for label, _ in groups]
-    header = [
-        "algorithm",
-        "runs",
-        "successes",
-        "success_rate",
-        "eval_mean",
-        "eval_std",
-        "time_mean",
-        "time_std",
-    ]
+    header = ["algorithm", *SUMMARY_COLUMNS]
     if sequential is not None:
         header.append("speedup")
+        seq_solved = [r.elapsed_ms for r in sequential if r.success]
     if len(groups) > 1:
-        header.extend(f"p_vs_{label}" for label in labels)
+        header.extend(f"p_vs_{label}" for label, _ in groups)
 
     lines = [",".join(header)]
-    seq_mean = None
-    if sequential is not None:
-        seq_solved = [r.elapsed_ms for r in sequential if r.success]
-        if seq_solved:
-            seq_mean, _ = mean_std(seq_solved)
-
     for label, rows in groups:
-        summary = summarize_experiment(rows, algorithm=label)
-        cells = [
-            label,
-            str(summary.runs),
-            str(summary.successes),
-            f"{summary.success_rate}",
-            "*" if summary.eval_mean is None else f"{summary.eval_mean}",
-            "*" if summary.eval_std is None else f"{summary.eval_std}",
-            "*" if summary.time_mean is None else f"{summary.time_mean}",
-            "*" if summary.time_std is None else f"{summary.time_std}",
-        ]
+        cells = [label, *summary_cells(summarize_experiment(rows, algorithm=label))]
+        mine = [r.elapsed_ms for r in rows if r.success]
         if sequential is not None:
-            if seq_mean is None or summary.time_mean in (None, 0):
+            try:
+                cells.append(format_speedup(speedup(seq_solved, mine)))
+            except ValueError:  # no solved run on one side, or a zero mean time
                 cells.append("*")
-            else:
-                cells.append(f"{seq_mean / summary.time_mean:.2f}")
         if len(groups) > 1:
-            mine = [r.elapsed_ms for r in rows if r.success]
             for other_label, other_rows in groups:
                 if other_label == label:
                     cells.append("-")

@@ -164,18 +164,12 @@ def flip_positions(length: int, p_per_bit: float, rng) -> list[int]:
     return positions
 
 
-def mutate(genome: Genome, p_per_bit: float, rng, out: Genome | None = None) -> Genome:
-    """Flip each bit independently with probability p_per_bit, at the
-    positions `flip_positions` draws. The result goes to `out` when given
-    (which may be `genome` itself), else to a new array."""
-    if out is None:
-        out = genome.copy()
-    elif out is not genome:
-        out[:] = genome
-    bits = memoryview(out)  # scalar writes without a numpy call each
-    for i in flip_positions(out.shape[0], p_per_bit, rng):
+def mutate(genome: Genome, p_per_bit: float, rng) -> None:
+    """Flip each bit of `genome` in place, independently with probability
+    p_per_bit, at the positions `flip_positions` draws."""
+    bits = memoryview(genome)  # scalar writes without a numpy call each
+    for i in flip_positions(genome.shape[0], p_per_bit, rng):
         bits[i] ^= 1
-    return out
 
 
 def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
@@ -187,7 +181,7 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     i = _tournament_index(pop, params.tournament_size, rng)
     j = _tournament_index(pop, params.tournament_size, rng)
     child = one_point_crossover(pop.genomes[i], pop.genomes[j], params.p_crossover, rng)
-    mutate(child, params.p_mutation_per_bit, rng, out=child)
+    mutate(child, params.p_mutation_per_bit, rng)
     f = problem.evaluate(child)
     if f >= pop.fitness[pop.worst_index()]:
         pop.replace_worst(child, f)

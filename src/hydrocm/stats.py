@@ -148,6 +148,10 @@ def median_trace(traces, successes=None):
     return traces[order[(len(traces) - 1) // 2]]
 
 
+#: The aggregate columns of every summary table, in order.
+SUMMARY_COLUMNS = ("runs", "successes", "success_rate", "eval_mean", "eval_std", "time_mean", "time_std")
+
+
 @dataclass(frozen=True)
 class SummaryRow:
     """One aggregate line in the style of the benchmark tables: means and
@@ -165,29 +169,35 @@ class SummaryRow:
     time_std: float | None = None
 
 
+def summary_cells(row: SummaryRow) -> list[str]:
+    """The `SUMMARY_COLUMNS` cells of one table row, '*' for a missing
+    aggregate. `hydrocm run` prefixes them with the setup and problem,
+    `hydrocm report` with the file's label."""
+    aggregates = (row.eval_mean, row.eval_std, row.time_mean, row.time_std)
+    return [
+        str(row.runs),
+        str(row.successes),
+        f"{row.success_rate}",
+        *("*" if v is None else f"{v}" for v in aggregates),
+    ]
+
+
 def summarize_experiment(runs: list[RecordRow], algorithm: str = "", problem: str = "") -> SummaryRow:
     """Aggregate one experiment's record rows; failed runs are excluded
     from the to-optimum statistics and surface only via success_rate."""
     if not runs:
         raise ValueError("need at least one run")
     solved = [r for r in runs if r.success]
-    row = SummaryRow(
+    eval_mean = eval_std = time_mean = time_std = None
+    if solved:
+        eval_mean, eval_std = mean_std([r.evaluations for r in solved])
+        time_mean, time_std = mean_std([r.elapsed_ms for r in solved])
+    return SummaryRow(
         algorithm=algorithm,
         problem=problem,
         runs=len(runs),
         successes=len(solved),
         success_rate=len(solved) / len(runs),
-    )
-    if not solved:
-        return row
-    eval_mean, eval_std = mean_std([r.evaluations for r in solved])
-    time_mean, time_std = mean_std([r.elapsed_ms for r in solved])
-    return SummaryRow(
-        algorithm=row.algorithm,
-        problem=row.problem,
-        runs=row.runs,
-        successes=row.successes,
-        success_rate=row.success_rate,
         eval_mean=eval_mean,
         eval_std=eval_std,
         time_mean=time_mean,

@@ -5,9 +5,16 @@ from pathlib import Path
 import pytest
 import yaml
 
-from hydrocm.cli import main
+from hydrocm.cli import load_experiment_config, main
 from hydrocm.records import read_records
-from hydrocm.topology import ethane_topology, load_topology, ring_topology, topology_to_dict
+from hydrocm.stats import format_speedup, speedup
+from hydrocm.topology import (
+    ethane_topology,
+    load_topology,
+    panmictic_topology,
+    ring_topology,
+    topology_to_dict,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,6 +70,12 @@ class TestRun:
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "mesh"})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "setup.kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setup", ["ethane_g", ["ethane_g"]], ids=["string", "list"])
+    def test_setup_must_be_a_mapping(self, tmp_path, capsys, setup):
+        cfg = write_config(tmp_path / "exp.yaml", setup=setup)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'setup': expected a mapping with a 'kind'" in capsys.readouterr().err
 
     def test_ssp_instance_dumped(self, tmp_path):
         cfg = write_config(
@@ -197,7 +210,9 @@ class TestRun:
         [("ethane_g", 2 * 64 + 6 * 101), ("ethane_s", 2 * 101 + 6 * 64), ("panmictic_sa", 101)],
     )
     def test_budget_below_initialization_cost_is_config_error(self, tmp_path, capsys, setup, cost):
-        cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, setup=setup, repetitions=1)
+        cfg = write_config(
+            tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, setup={"kind": setup}, repetitions=1
+        )
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--budget", str(cost)]) == 0
         (row,) = read_records(out / "records.csv")
@@ -290,6 +305,55 @@ class TestReport:
         header = out.splitlines()[0].split(",")
         assert header[-1] == "speedup"
 
+    def test_run_outputs_labelled_by_directory(self, tmp_path, capsys):
+        a, b = self.make_records(tmp_path)
+        capsys.readouterr()  # discard run-command output
+        runs = [str(tmp_path / "alpha" / "records.csv"), str(tmp_path / "beta" / "records.csv")]
+        assert main(["report", *runs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split(",")[-2:] == ["p_vs_alpha", "p_vs_beta"]
+        alpha, beta = (line.split(",") for line in lines[1:])
+        assert (alpha[0], beta[0]) == ("alpha", "beta")
+        # the p-value between the two groups is computed, the same both ways
+        # and the same as for the copies named by stem
+        assert alpha[-2] == beta[-1] == "-"
+        assert alpha[-1] == beta[-2] and 0.0 <= float(alpha[-1]) <= 1.0
+        assert main(["report", str(a), str(b)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == lines[1:]
+
+    @pytest.mark.parametrize(
+        "names, label",
+        [(("a/records.csv", "b/a.csv"), "a"), (("a/x.csv", "b/x.csv"), "x")],
+        ids=["directory-and-stem", "stem"],
+    )
+    def test_shared_label_is_input_error(self, tmp_path, capsys, names, label):
+        paths = []
+        for name in names:
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,1.0,5.0,1\n")
+            paths.append(str(path))
+        assert main(["report", *paths]) == 2
+        assert f"label {label!r} is already taken" in capsys.readouterr().err
+
+    def test_speedup_cell_is_stats_speedup(self, tmp_path, capsys):
+        ref, group = tmp_path / "ref.csv", tmp_path / "group.csv"
+        ref.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,15995.0,5.0,1\n2,10,1.0,4.0,0\n")
+        group.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,5318.0,5.0,1\n")
+        assert main(["report", str(group), "--sequential", str(ref)]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        cell = row[header.index("speedup")]
+        assert cell == format_speedup(speedup([15995.0], [5318.0])) == "3.01"
+
+    def test_zero_time_group_has_no_speedup(self, tmp_path, capsys):
+        # a run that solves during initialization reports elapsed_ms 0.0
+        ref, group = tmp_path / "ref.csv", tmp_path / "group.csv"
+        ref.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,15995.0,5.0,1\n")
+        group.write_text("seed,evaluations,elapsed_ms,best,success\n1,64,0.0,5.0,1\n2,64,0.0,5.0,1\n")
+        assert main(["report", str(group), "--sequential", str(ref)]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert row[header.index("speedup")] == "*"
+
     def test_malformed_record_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("seed,evaluations,elapsed_ms,best,success\n1,2\n")
@@ -301,6 +365,44 @@ class TestReport:
         out = tmp_path / "report.csv"
         assert main(["report", str(a), str(b), "--out", str(out)]) == 0
         assert out.read_text().startswith("algorithm,")
+
+
+DESK = REPO_ROOT / "experiments" / "desk"
+
+
+class TestDeskConfigs:
+    """The committed desk-scale comparison: five setups on MMDP k=5 and on
+    subset sum n=16 (instance seed 11), 30 repetitions from seed 1000."""
+
+    PROBLEMS = {"mmdp_k5": ("mmdp_k5", 500_000), "ssp_n16": ("ssp_n16_s11", 100_000)}
+    SETUPS = {
+        "ethane_g": ethane_topology("G"),
+        "ethane_s": ethane_topology("S"),
+        "ring": ring_topology(8, [0, 3]),
+        "panmictic_ssga": panmictic_topology("ssga"),
+        "panmictic_sa": panmictic_topology("sa"),
+    }
+
+    def test_every_cell_is_committed(self):
+        found = sorted(str(p.relative_to(DESK)) for p in DESK.glob("**/*.yaml"))
+        assert found == sorted(f"{pl}/{s}.yaml" for pl in self.PROBLEMS for s in self.SETUPS)
+
+    @pytest.mark.parametrize("problem", ["mmdp_k5", "ssp_n16"])
+    @pytest.mark.parametrize("setup", ["ethane_g", "ethane_s", "ring", "panmictic_ssga", "panmictic_sa"])
+    def test_config_matches_desk_defaults(self, problem, setup):
+        cfg = load_experiment_config(DESK / problem / f"{setup}.yaml")
+        label, budget = self.PROBLEMS[problem]
+        assert (cfg.setup, cfg.problem_label) == (setup, label)
+        assert cfg.run.topology == self.SETUPS[setup]
+        assert (cfg.run.evaluation_budget, cfg.run.seed, cfg.repetitions) == (budget, 1000, 30)
+
+    def test_one_cell_runs(self, tmp_path, capsys):
+        out = tmp_path / "mmdp_k5" / "ethane_g"
+        cfg = DESK / "mmdp_k5" / "ethane_g.yaml"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--reps", "1"]) == 0
+        (row,) = read_records(out / "records.csv")
+        assert (row.seed, row.success) == (1000, True)
+        assert capsys.readouterr().out.splitlines()[1].startswith("ethane_g,mmdp_k5,1,1,1.0,")
 
 
 class TestValidateTopology:

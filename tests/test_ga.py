@@ -127,19 +127,26 @@ class TestOnePointCrossover:
         assert a[0] == 0
 
 
+def mutated(genome, p, rng):
+    """A copy of `genome` with `mutate` applied to it."""
+    child = genome.copy()
+    mutate(child, p, rng)
+    return child
+
+
 class TestMutate:
     def test_zero_rate_is_identity(self, rng):
         g = np.array([1, 0, 1], dtype=np.uint8)
-        assert np.array_equal(mutate(g, 0.0, rng), g)
+        assert np.array_equal(mutated(g, 0.0, rng), g)
 
     def test_rate_one_is_complement(self, rng):
         g = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(mutate(g, 1.0, rng), 1 - g)
+        assert np.array_equal(mutated(g, 1.0, rng), 1 - g)
 
     def test_expected_flip_count(self):
         rng = node_rng(31)
         g = np.zeros(150, dtype=np.uint8)
-        flips = [int(mutate(g, 4.0 / 150, rng).sum()) for _ in range(10_000)]
+        flips = [int(mutated(g, 4.0 / 150, rng).sum()) for _ in range(10_000)]
         assert abs(np.mean(flips) - 4.0) < 0.1
 
     def test_rejects_bad_rate(self, rng):
@@ -157,7 +164,7 @@ class TestMutate:
         per_bit = np.zeros(length)
         counts = np.empty(calls)
         for c in range(calls):
-            child = mutate(g, p, rng)
+            child = mutated(g, p, rng)
             per_bit += child
             counts[c] = child.sum()
         assert abs(counts.mean() - length * p) <= 0.05 * length * p
@@ -165,20 +172,12 @@ class TestMutate:
         stderr = np.sqrt(p * (1 - p) / calls)
         assert np.all(np.abs(per_bit / calls - p) <= 5 * stderr)
 
-    def test_out_rules(self):
+    def test_flips_in_place(self):
         g = node_rng(3).integers(0, 2, size=300, dtype=np.uint8)
         before = g.copy()
-        fresh = mutate(g, 0.05, node_rng(41))
-        assert np.array_equal(g, before)
-        assert not np.array_equal(fresh, before)
-
-        separate = np.empty_like(g)
-        assert mutate(g, 0.05, node_rng(41), out=separate) is separate
-        assert np.array_equal(separate, fresh)
-        assert np.array_equal(g, before)
-
-        assert mutate(g, 0.05, node_rng(41), out=g) is g
-        assert np.array_equal(g, fresh)
+        assert mutate(g, 0.05, node_rng(41)) is None
+        flipped = np.flatnonzero(g != before).tolist()
+        assert flipped and flipped == flip_positions(300, 0.05, node_rng(41))
 
 
 def gap_mutate_reference(genome, p, rng):
@@ -204,7 +203,7 @@ class TestFlipPositions:
         g = np.zeros(length, dtype=np.uint8)
         for _ in range(500):
             positions = flip_positions(length, p, sampler)
-            assert positions == np.flatnonzero(mutate(g, p, mutator)).tolist()
+            assert positions == np.flatnonzero(mutated(g, p, mutator)).tolist()
             assert positions == np.flatnonzero(gap_mutate_reference(g, p, reference)).tolist()
             # all three RNGs are left at the same position of the stream
             assert sampler.random() == mutator.random() == reference.random()
