@@ -133,7 +133,7 @@ def _build_problem(data):
         k = _as_int(_require(data, "k", "problem.k"), "problem.k", minimum=1)
         return MmdpInstance(k=k), f"mmdp_k{k}"
     n = _as_int(_require(data, "n", "problem.n"), "problem.n", minimum=2)
-    seed = _as_int(_require(data, "seed", "problem.seed"), "problem.seed")
+    seed = _as_int(_require(data, "seed", "problem.seed"), "problem.seed", minimum=0)
     return generate_ssp_instance(n, seed), f"ssp_n{n}_s{seed}"
 
 
@@ -161,11 +161,11 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
         return kind, topo
     if kind == "custom":
         raw_path = _require(data, "topology", "setup.topology")
+        if not isinstance(raw_path, str):
+            raise ConfigError("setup.topology", f"expected a file path, got {raw_path!r}")
         path = Path(raw_path)
         if not path.is_absolute():
             path = cfg_dir / path
-        if not path.exists():
-            raise ConfigError("setup.topology", f"file not found: {path}")
         try:
             topo = load_topology(path)
         except ValueError as exc:
@@ -238,7 +238,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
             topology=topology,
             problem=problem,
             evaluation_budget=budget,
-            seed=_as_int(data.get("master_seed", 0), "master_seed"),
+            seed=_as_int(data.get("master_seed", 0), "master_seed", minimum=0),
             migration_frequency=_as_int(
                 data.get("migration_frequency", 50), "migration_frequency", minimum=1
             ),
@@ -293,6 +293,15 @@ def _report_label(path: Path) -> str:
     return path.absolute().parent.name if path.name == "records.csv" else path.stem
 
 
+def _report_rows(path: Path) -> list:
+    """The rows of a record file given to `report`, a group or the
+    sequential reference; a file with no rows is an input error."""
+    rows = read_records(path)
+    if not rows:
+        raise ValueError(f"{path}: no run records")
+    return rows
+
+
 def cmd_report(args) -> int:
     try:
         groups = []
@@ -301,16 +310,8 @@ def cmd_report(args) -> int:
             label = _report_label(path)
             if label in (other for other, _ in groups):
                 raise ValueError(f"{path}: label {label!r} is already taken by another record file")
-            rows = read_records(path)
-            if not rows:
-                raise ValueError(f"{path}: no run records")
-            groups.append((label, rows))
-        sequential = None
-        if args.sequential:
-            sequential = read_records(Path(args.sequential))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+            groups.append((label, _report_rows(path)))
+        sequential = _report_rows(Path(args.sequential)) if args.sequential else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -360,9 +361,6 @@ def cmd_validate_topology(args) -> int:
     path = Path(args.topology)
     try:
         spec = load_topology(path)
-    except FileNotFoundError:
-        print(f"error: file not found: {path}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -96,9 +96,6 @@ class VirtualScheduler:
     def ticks(self, micro: int) -> float:
         return micro / self.scale
 
-    def micro_horizon(self, ticks: int) -> int:
-        return ticks * self.scale
-
     def __iter__(self):
         heap = [(period, idx) for idx, period in enumerate(self.periods)]
         heapq.heapify(heap)

@@ -6,6 +6,7 @@ iteration, which keeps numerical-effort accounting exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,15 @@ def default_mutation_rate(length: int) -> float:
     return min(1.0, 4.0 / length)
 
 
+def check_real(name: str, value) -> None:
+    """Reject a parameter that is not a finite real number; a bool is not
+    one. The error names the parameter."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaParams:
     pop_size: int = 64
@@ -41,6 +51,9 @@ class GaParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        check_real("p_crossover", self.p_crossover)
+        if self.p_mutation_per_bit is not None:
+            check_real("p_mutation_per_bit", self.p_mutation_per_bit)
         if self.pop_size < 2:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
         if not 0.0 <= self.p_crossover <= 1.0:

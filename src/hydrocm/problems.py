@@ -38,28 +38,9 @@ MMDP_BLOCK_BITS = 6
 _BLOCK_ONES = np.ones(MMDP_BLOCK_BITS, dtype=np.uint8)
 
 
-def bits(s: str) -> Genome:
-    """Parse a string of '0'/'1' characters into a genome."""
-    return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
 def random_genome(length: int, rng) -> Genome:
     """Uniformly random genome of the given length."""
     return rng.integers(0, 2, size=length, dtype=np.uint8)
-
-
-def unitation(block: Genome) -> int:
-    """Number of 1-bits in a 6-bit block."""
-    if len(block) != MMDP_BLOCK_BITS:
-        raise ValueError(f"unitation block must have {MMDP_BLOCK_BITS} bits, got {len(block)}")
-    return int(np.sum(block))
-
-
-def mmdp_subfunction(u: int) -> float:
-    """Bipolar deception value for a block with unitation `u`."""
-    if not 0 <= u <= MMDP_BLOCK_BITS:
-        raise ValueError(f"unitation must be in [0, {MMDP_BLOCK_BITS}], got {u}")
-    return float(_MMDP_SUBFUNCTION[u])
 
 
 @dataclass(frozen=True)
@@ -209,19 +190,3 @@ def save_instance(inst: SubsetSumInstance, path) -> None:
     lines = [str(inst.length), str(inst.capacity), str(inst.known_optimum)]
     lines.extend(str(int(w)) for w in inst.weights)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_instance(path) -> SubsetSumInstance:
-    """Read the flat text instance format written by save_instance."""
-    raw = Path(path).read_text().split()
-    if len(raw) < 3:
-        raise ValueError(f"{path}: truncated instance file")
-    n, capacity, known_optimum = int(raw[0]), int(raw[1]), int(raw[2])
-    weights = [int(tok) for tok in raw[3:]]
-    if len(weights) != n:
-        raise ValueError(f"{path}: expected {n} weights, found {len(weights)}")
-    return SubsetSumInstance(
-        weights=np.array(weights, dtype=np.int64),
-        capacity=capacity,
-        known_optimum=known_optimum,
-    )

@@ -8,6 +8,7 @@ virtual-time reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,25 +78,39 @@ def write_records(path, rows: list[RecordRow]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _finite(name: str, cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {cell!r}")
+    return value
+
+
 def read_records(path) -> list[RecordRow]:
-    """Parse a record file; raises ValueError naming the offending line."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RECORD_HEADER:
+    """Parse a record file; raises ValueError naming the file, and the
+    offending line. `success` must be 0 or 1, and `elapsed_ms` and `best`
+    finite."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != RECORD_HEADER:
         raise ValueError(f"{path}: line 1: expected header '{RECORD_HEADER}'")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(parts)}")
         try:
+            if parts[4] not in ("0", "1"):
+                raise ValueError(f"success must be 0 or 1, got {parts[4]!r}")
             rows.append(
                 RecordRow(
                     seed=int(parts[0]),
                     evaluations=int(parts[1]),
-                    elapsed_ms=float(parts[2]),
-                    best=float(parts[3]),
-                    success=bool(int(parts[4])),
+                    elapsed_ms=_finite("elapsed_ms", parts[2]),
+                    best=_finite("best", parts[3]),
+                    success=parts[4] == "1",
                 )
             )
         except ValueError as exc:
@@ -106,15 +121,3 @@ def read_records(path) -> list[RecordRow]:
 def write_trace(path, trace: list[tuple[float, float]]) -> None:
     lines = [f"{t!r},{f!r}" for t, f in trace]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_trace(path) -> list[tuple[float, float]]:
-    trace = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 'time_ms,fitness'")
-        trace.append((float(parts[0]), float(parts[1])))
-    return trace

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ga import Individual, default_mutation_rate, flip_positions
+from .ga import Individual, check_real, default_mutation_rate, flip_positions
 from .problems import Genome, random_genome
 
 SCHEDULES = ("fast", "geometric")
@@ -36,6 +36,10 @@ class SaParams:
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+        check_real("schedule_rate", self.schedule_rate)
+        for name in ("t0", "p_perturb_per_bit"):
+            if getattr(self, name) is not None:
+                check_real(name, getattr(self, name))
         if self.schedule_rate <= 0:
             raise ValueError("schedule_rate must be positive")
         if self.schedule == "geometric" and self.schedule_rate > 1.0:
@@ -99,10 +103,10 @@ def update_temperature(t0: float, step: int, params: SaParams) -> float:
     return t0 * params.schedule_rate**step
 
 
-def estimate_t0(problem, rng, samples: int = T0_SAMPLES) -> float:
-    """Fitness standard deviation over `samples` random genomes, floored
+def estimate_t0(problem, rng) -> float:
+    """Fitness standard deviation over T0_SAMPLES random genomes, floored
     away from zero so the temperature invariant holds."""
-    fits = [problem.evaluate(random_genome(problem.length, rng)) for _ in range(samples)]
+    fits = [problem.evaluate(random_genome(problem.length, rng)) for _ in range(T0_SAMPLES)]
     return max(float(np.std(fits)), 1e-9)
 
 

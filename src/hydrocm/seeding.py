@@ -17,11 +17,6 @@ def spawn_rngs(master_seed: int, n: int) -> list["BufferedRng"]:
     return [BufferedRng(np.random.Generator(np.random.PCG64(c))) for c in children]
 
 
-def node_rng(master_seed: int, index: int = 0) -> "BufferedRng":
-    """RNG for a single node, identical to spawn_rngs(master_seed, index+1)[index]."""
-    return spawn_rngs(master_seed, index + 1)[index]
-
-
 class BufferedRng:
     """Duck-typed subset of numpy Generator with block-buffered scalar draws.
 

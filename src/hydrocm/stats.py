@@ -1,7 +1,7 @@
 """Performance statistics for benchmark runs: effort/time aggregates,
 speedup against a sequential reference, the Mann-Whitney U test (exact by
 enumeration for small samples, tie-corrected normal approximation
-otherwise), and median-trace selection.
+otherwise) and the summary table rows.
 """
 
 from __future__ import annotations
@@ -36,25 +36,18 @@ def mean_std(sample) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-@dataclass(frozen=True)
-class SpeedupResult:
-    mean_sequential: float
-    mean_parallel: float
-    speedup: float
-
-
-def speedup(sequential, parallel) -> SpeedupResult:
+def speedup(sequential, parallel) -> float:
     """Ratio of mean sequential to mean parallel execution time. Rounding
     happens only at presentation (see format_speedup)."""
     seq_mean, _ = mean_std(sequential)
     par_mean, _ = mean_std(parallel)
     if par_mean == 0:
         raise ValueError("parallel mean time is zero; speedup undefined")
-    return SpeedupResult(seq_mean, par_mean, seq_mean / par_mean)
+    return seq_mean / par_mean
 
 
-def format_speedup(result: SpeedupResult) -> str:
-    return f"{result.speedup:.2f}"
+def format_speedup(value: float) -> str:
+    return f"{value:.2f}"
 
 
 class MannWhitneyResult(NamedTuple):
@@ -121,31 +114,6 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     z = max(0.0, abs(u - mu) - 0.5) / math.sqrt(var)  # continuity correction
     p = min(1.0, math.erfc(z / math.sqrt(2.0)))
     return MannWhitneyResult(u, p, "normal_approx")
-
-
-def median_trace(traces, successes=None):
-    """The single trace whose finish ranks in the lower-median position.
-
-    Successful runs order by final timestamp (faster is better) and rank
-    ahead of failed runs, which order by final fitness (higher is
-    better). With no success flags, all traces are treated as successful.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    if successes is None:
-        successes = [True] * len(traces)
-    if len(successes) != len(traces):
-        raise ValueError("successes must match traces in length")
-
-    def key(i):
-        trace = traces[i]
-        end_time, end_fitness = trace[-1] if trace else (math.inf, -math.inf)
-        if successes[i]:
-            return (0, end_time)
-        return (1, -end_fitness)
-
-    order = sorted(range(len(traces)), key=key)
-    return traces[order[(len(traces) - 1) // 2]]
 
 
 #: The aggregate columns of every summary table, in order.

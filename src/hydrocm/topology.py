@@ -144,14 +144,9 @@ def panmictic_topology(algorithm: str) -> TopologySpec:
     return TopologySpec((NodeSpec("panmictic", CARBON, algorithm, 1.0),), ())
 
 
-def ring_topology(
-    n: int,
-    fast_positions,
-    slow_factor: float = DEFAULT_SLOW_FACTOR,
-    algorithm: str = SSGA,
-) -> TopologySpec:
-    """Unidirectional ring of `n` islands; nodes listed in `fast_positions`
-    run at speed 1.0, the rest at `slow_factor`.
+def ring_topology(n: int, fast_positions, slow_factor: float = DEFAULT_SLOW_FACTOR) -> TopologySpec:
+    """Unidirectional ring of `n` ssGA islands; nodes listed in
+    `fast_positions` run at speed 1.0, the rest at `slow_factor`.
 
     Bonds are stored in cycle order and compiled one directed channel
     each; valence rules do not apply to rings.
@@ -166,7 +161,7 @@ def ring_topology(
         NodeSpec(
             f"N{i}",
             CARBON if i in fast else HYDROGEN,
-            algorithm,
+            SSGA,
             1.0 if i in fast else slow_factor,
         )
         for i in range(n)
@@ -277,42 +272,6 @@ def compile_channels(spec: TopologySpec) -> tuple[ChannelSpec, ...]:
     return tuple(channels)
 
 
-def random_hydrocarbon(
-    rng,
-    max_carbons: int = 6,
-    variant: str = "G",
-    slow_factor: float = DEFAULT_SLOW_FACTOR,
-    p_multi: float = 0.3,
-) -> TopologySpec:
-    """Random valid hydrocarbon: a carbon tree with optional double/triple
-    bonds, hydrogens filling every remaining valence slot."""
-    hub_alg, leaf_alg = (SSGA, SA) if variant.upper() == "G" else (SA, SSGA)
-    n_carbons = int(rng.integers(1, max_carbons + 1))
-    free = {f"C{i}": VALENCE[CARBON] for i in range(n_carbons)}
-    bonds: list[list] = []
-    for i in range(1, n_carbons):
-        candidates = [f"C{j}" for j in range(i) if free[f"C{j}"] >= 1]
-        parent = candidates[int(rng.integers(0, len(candidates)))]
-        bonds.append([parent, f"C{i}", 1])
-        free[parent] -= 1
-        free[f"C{i}"] -= 1
-    for bond in bonds:
-        while bond[2] < 3 and free[bond[0]] >= 1 and free[bond[1]] >= 1 and rng.random() < p_multi:
-            bond[2] += 1
-            free[bond[0]] -= 1
-            free[bond[1]] -= 1
-    nodes = [NodeSpec(f"C{i}", CARBON, hub_alg, 1.0) for i in range(n_carbons)]
-    h = 0
-    hydrogen_bonds = []
-    for cid in sorted(free):
-        for _ in range(free[cid]):
-            nodes.append(NodeSpec(f"H{h}", HYDROGEN, leaf_alg, slow_factor))
-            hydrogen_bonds.append(BondSpec(cid, f"H{h}"))
-            h += 1
-    all_bonds = [BondSpec(a, b, m) for a, b, m in bonds] + hydrogen_bonds
-    return TopologySpec(tuple(nodes), tuple(all_bonds), KIND_HYDROCARBON)
-
-
 def topology_to_dict(spec: TopologySpec) -> dict:
     return {
         "kind": spec.kind,
@@ -369,6 +328,8 @@ def save_topology(spec: TopologySpec, path) -> None:
 def load_topology(path) -> TopologySpec:
     try:
         data = yaml.safe_load(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: not valid topology YAML: {exc}") from None
     try:

@@ -14,16 +14,11 @@ import yaml
 from hydrocm.cli import main as cli_main
 from hydrocm.engine import VirtualScheduler
 from hydrocm.ga import GaParams, Individual, _offspring_step, immigrate, init_population
-from hydrocm.problems import (
-    MmdpInstance,
-    generate_ssp_instance,
-    mmdp_subfunction,
-)
+from hydrocm.problems import MmdpInstance, generate_ssp_instance
 from hydrocm.sa import SaParams, accept, init_sa_state, inject_immigrant, sa_step, update_temperature
-from hydrocm.seeding import node_rng
 from hydrocm.stats import mann_whitney_u, speedup
-from hydrocm.topology import random_hydrocarbon
 
+from conftest import bits, node_rng, random_hydrocarbon
 from effort_cells import CRITERION_3_CELLS, effort
 from test_stats import mann_whitney_oracle
 
@@ -37,7 +32,8 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_mmdp_table_fidelity():
     expected = ["1.000000", "0.000000", "0.360384", "0.640576", "0.360384", "0.000000", "1.000000"]
-    table_ok = all(f"{mmdp_subfunction(u):.6f}" == expected[u] for u in range(7))
+    block = MmdpInstance(k=1)
+    table_ok = all(f"{block.evaluate(bits('1' * u + '0' * (6 - u))):.6f}" == expected[u] for u in range(7))
     optimum_ok = MmdpInstance(k=25).evaluate(np.ones(150, dtype=np.uint8)) == 25.0
     report(1, "mmdp table fidelity", table_ok and optimum_ok)
 
@@ -52,7 +48,7 @@ def test_criterion_2_speedup_reproduction():
         (20627, 3052, 6.76),
         (21227, 3194, 6.64),
     ]
-    errors = [abs(speedup([seq], [par]).speedup - published) for seq, par, published in cells]
+    errors = [abs(speedup([seq], [par]) - published) for seq, par, published in cells]
     report(2, "speedup arithmetic reproduction", max(errors) <= 0.01, f"max error {max(errors):.4f}")
 
 
@@ -217,7 +213,7 @@ def test_criterion_7_invariant_suite(capsys):
 
 def test_criterion_8_heterogeneity_emulation():
     sched = VirtualScheduler([1.0, 0.35])
-    horizon = sched.micro_horizon(100_000)
+    horizon = 100_000 * sched.scale
     counts = [0, 0]
     for micro, idx in sched:
         if micro > horizon:

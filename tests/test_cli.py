@@ -254,6 +254,42 @@ class TestRun:
             assert rc == 2
             assert "config field 'slow_factor'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, flags, fieldname",
+        [
+            ({"master_seed": -1}, [], "master_seed"),
+            ({}, ["--seed", "-1"], "master_seed"),
+            ({"problem": {"kind": "ssp", "n": 3, "seed": -5}}, [], "problem.seed"),
+        ],
+        ids=["master_seed", "seed-flag", "problem-seed"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, overrides, flags, fieldname):
+        cfg = write_config(tmp_path / "exp.yaml", **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
+        assert f"config field '{fieldname}': must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sa", "t0", float("nan")),
+            ("sa", "t0", True),
+            ("sa", "schedule_rate", float("inf")),
+            ("ga", "p_crossover", "hot"),
+        ],
+        ids=["sa-t0-nan", "sa-t0-bool", "sa-schedule_rate-inf", "ga-p_crossover-string"],
+    )
+    def test_non_finite_or_non_real_parameter_is_config_error(self, tmp_path, capsys, section, key, value):
+        setup = {"kind": "panmictic_sa" if section == "sa" else "panmictic_ssga"}
+        cfg = write_config(tmp_path / "exp.yaml", setup=setup, **{section: {key: value}})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{section}': {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("topology", [".", 5], ids=["directory", "number"])
+    def test_unreadable_custom_topology_is_config_error(self, tmp_path, capsys, topology):
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": topology})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'setup.topology'" in capsys.readouterr().err
+
     def test_exit_zero_even_with_failures(self, tmp_path):
         cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, budget=200, repetitions=2)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -359,6 +395,36 @@ class TestReport:
         path.write_text("seed,evaluations,elapsed_ms,best,success\n1,2\n")
         assert main(["report", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_header_only_reference_is_input_error(self, tmp_path, capsys):
+        ref, group = tmp_path / "ref.csv", tmp_path / "group.csv"
+        ref.write_text("seed,evaluations,elapsed_ms,best,success\n")
+        group.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,5318.0,5.0,1\n")
+        assert main(["report", str(group), "--sequential", str(ref)]) == 2
+        assert f"{ref}: no run records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["group", "reference"])
+    def test_directory_is_input_error(self, tmp_path, capsys, where):
+        group = tmp_path / "group.csv"
+        group.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,5318.0,5.0,1\n")
+        args = [str(tmp_path)] if where == "group" else [str(group), "--sequential", str(tmp_path)]
+        assert main(["report", *args]) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,10,1.0,5.0,7", "success must be 0 or 1"),
+            ("1,10,nan,5.0,1", "elapsed_ms must be finite"),
+            ("1,10,1.0,inf,1", "best must be finite"),
+        ],
+        ids=["success-7", "elapsed-nan", "best-inf"],
+    )
+    def test_bad_record_cell_is_input_error(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"seed,evaluations,elapsed_ms,best,success\n{row}\n")
+        assert main(["report", str(path)]) == 2
+        assert f"line 2: {message}" in capsys.readouterr().err
 
     def test_written_report(self, tmp_path):
         a, b = self.make_records(tmp_path)
@@ -490,3 +556,7 @@ class TestValidateTopology:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["validate-topology", str(tmp_path / "missing.topology")]) == 2
+
+    def test_directory_is_input_error(self, tmp_path, capsys):
+        assert main(["validate-topology", str(tmp_path)]) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err

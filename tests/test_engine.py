@@ -83,7 +83,7 @@ class TestVirtualScheduler:
     def test_half_speed_node_runs_half_as_often(self):
         sched = VirtualScheduler([1.0, 0.5])
         counts = [0, 0]
-        horizon = sched.micro_horizon(100)
+        horizon = 100 * sched.scale
         for micro, idx in sched:
             if micro > horizon:
                 break
@@ -102,7 +102,7 @@ class TestVirtualScheduler:
     def test_heterogeneous_ratio_exact(self):
         sched = VirtualScheduler([1.0, 0.35])
         counts = [0, 0]
-        horizon = sched.micro_horizon(100_000)
+        horizon = 100_000 * sched.scale
         for micro, idx in sched:
             if micro > horizon:
                 break

@@ -20,9 +20,8 @@ from hydrocm.ga import (
     select_emigrant,
 )
 from hydrocm.problems import MmdpInstance, generate_ssp_instance
-from hydrocm.seeding import node_rng
 
-from conftest import panmictic
+from conftest import node_rng, panmictic
 
 
 def make_population(fitness_values, length=8):

@@ -10,15 +10,13 @@ from hydrocm.problems import (
     _MMDP_SUBFUNCTION,
     MmdpInstance,
     SubsetSumInstance,
-    bits,
     generate_ssp_instance,
     is_optimum,
-    load_instance,
-    mmdp_subfunction,
     random_genome,
     save_instance,
-    unitation,
 )
+
+from conftest import bits, load_instance
 
 
 def brute_force_ssp(inst):
@@ -40,35 +38,40 @@ genomes = st.lists(st.integers(0, 1), min_size=1, max_size=96).map(
 )
 
 
+ONE_BLOCK = MmdpInstance(k=1)
+
+
+def block(u):
+    """A 6-bit genome of unitation `u`."""
+    return bits("1" * u + "0" * (6 - u))
+
+
 class TestUnitation:
     def test_counts_ones(self):
-        assert unitation(bits("111000")) == 3
+        assert ONE_BLOCK.tally(bits("111000")).tolist() == [3]
 
     def test_zero(self):
-        assert unitation(bits("000000")) == 0
+        assert ONE_BLOCK.tally(bits("000000")).tolist() == [0]
 
     def test_saturated(self):
-        assert unitation(bits("111111")) == 6
+        assert ONE_BLOCK.tally(bits("111111")).tolist() == [6]
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            unitation(bits("11110"))
+            ONE_BLOCK.tally(bits("11110"))
 
 
 class TestMmdpSubfunction:
     def test_known_values(self):
-        assert f"{mmdp_subfunction(0):.6f}" == "1.000000"
-        assert f"{mmdp_subfunction(3):.6f}" == "0.640576"
-        assert f"{mmdp_subfunction(2):.6f}" == "0.360384"
+        assert f"{ONE_BLOCK.evaluate(block(0)):.6f}" == "1.000000"
+        assert f"{ONE_BLOCK.evaluate(block(3)):.6f}" == "0.640576"
+        assert f"{ONE_BLOCK.evaluate(block(2)):.6f}" == "0.360384"
 
     @pytest.mark.parametrize("u", range(7))
     def test_symmetric(self, u):
-        assert mmdp_subfunction(u) == mmdp_subfunction(6 - u)
-
-    @pytest.mark.parametrize("u", [-1, 7])
-    def test_rejects_out_of_range(self, u):
-        with pytest.raises(ValueError):
-            mmdp_subfunction(u)
+        complement = 1 - block(u)
+        assert ONE_BLOCK.tally(complement).tolist() == [6 - u]
+        assert ONE_BLOCK.evaluate(block(u)) == ONE_BLOCK.fitness_of(ONE_BLOCK.tally(complement))
 
 
 class TestMmdpFitness:
@@ -310,9 +313,3 @@ class TestInstanceIO:
         path = tmp_path / "instance.txt"
         save_instance(inst, path)
         assert path.read_text().splitlines() == ["2", "3", "3", "1", "2"]
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("5\n3\n3\n1\n")
-        with pytest.raises(ValueError):
-            load_instance(path)

@@ -4,10 +4,11 @@ from hydrocm.records import (
     RECORD_HEADER,
     RecordRow,
     read_records,
-    read_trace,
     write_records,
     write_trace,
 )
+
+from conftest import read_trace
 
 
 def test_record_round_trip(tmp_path):
@@ -45,6 +46,34 @@ def test_non_numeric_row_names_line(tmp_path):
     path.write_text(RECORD_HEADER + "\n1,x,3.0,4.0,1\n")
     with pytest.raises(ValueError, match="line 2"):
         read_records(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,2,3.0,4.0,7", "success must be 0 or 1, got '7'"),
+        ("1,2,3.0,4.0,true", "success must be 0 or 1, got 'true'"),
+        ("1,2,nan,4.0,1", "elapsed_ms must be finite, got 'nan'"),
+        ("1,2,3.0,-inf,0", "best must be finite, got '-inf'"),
+    ],
+)
+def test_bad_cell_names_line(tmp_path, row, message):
+    path = tmp_path / "records.csv"
+    path.write_text(f"{RECORD_HEADER}\n1,2,3.0,4.0,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"line 3: {message}"):
+        read_records(path)
+
+
+def test_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(f"{RECORD_HEADER}\n\n1,2,3.0,4.0,1\n\n1,2,3.0,4.0,7\n")
+    with pytest.raises(ValueError, match="line 5: success"):
+        read_records(path)
+
+
+def test_unreadable_file_names_path(tmp_path):
+    with pytest.raises(ValueError, match="cannot read"):
+        read_records(tmp_path)
 
 
 def test_trace_round_trip(tmp_path):

@@ -17,9 +17,8 @@ from hydrocm.sa import (
     select_emigrant_sa,
     update_temperature,
 )
-from hydrocm.seeding import node_rng
 
-from conftest import ConstantProblem, panmictic
+from conftest import ConstantProblem, node_rng, panmictic
 
 
 def fresh_state(problem, seed=1, **params_kw):

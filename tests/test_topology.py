@@ -11,12 +11,13 @@ from hydrocm.topology import (
     compile_channels,
     ethane_topology,
     load_topology,
-    random_hydrocarbon,
     ring_topology,
     save_topology,
     validate_hydrocarbon,
     validate_topology,
 )
+
+from conftest import random_hydrocarbon
 
 
 def methane():
