@@ -17,12 +17,7 @@ import yaml
 from .engine import RunConfig, initialization_cost, run_experiment
 from .ga import GaParams
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance, save_instance
-from .records import (
-    read_records,
-    record_from_result,
-    write_records,
-    write_trace,
-)
+from .records import read_records, record_from_result, write_records, write_trace
 from .sa import SaParams
 from .stats import (
     SUMMARY_COLUMNS,
@@ -33,6 +28,7 @@ from .stats import (
     summary_cells,
 )
 from .topology import (
+    UniqueKeyLoader,
     ethane_topology,
     load_topology,
     panmictic_topology,
@@ -200,7 +196,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     flags) win over file values."""
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:

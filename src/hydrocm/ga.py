@@ -158,23 +158,16 @@ def flip_positions(length: int, p_per_bit: float, rng) -> list[int]:
 
     The gaps between flips are sampled instead of the bits: the number of
     bits skipped before the next flip is geometric, `int(log(1 - u) /
-    log1p(-p))` for one uniform u, so a call costs about L*p + 1 scalar
-    draws rather than L."""
+    log1p(-p))` for one uniform u, so a call costs about L*p + 1 draws
+    rather than L. `rng` is a `BufferedRng`, which reads the gaps from a
+    table computed once per block of uniforms."""
     if not 0.0 <= p_per_bit <= 1.0:
         raise ValueError(f"p_per_bit must be in [0,1], got {p_per_bit}")
     if p_per_bit == 1.0:
         return list(range(length))
-    positions: list[int] = []
     if p_per_bit == 0.0:
-        return positions
-    log_q = math.log1p(-p_per_bit)
-    log, random, append = math.log, rng.random, positions.append
-    # u is in [0, 1), so log(1 - u) is finite
-    i = int(log(1.0 - random()) / log_q)
-    while i < length:
-        append(i)
-        i += 1 + int(log(1.0 - random()) / log_q)
-    return positions
+        return []
+    return rng.gap_positions(length, math.log1p(-p_per_bit))
 
 
 def mutate(genome: Genome, p_per_bit: float, rng) -> None:

@@ -321,13 +321,31 @@ def topology_from_dict(data: dict) -> TopologySpec:
     return TopologySpec(nodes, bonds, data.get("kind", KIND_HYDROCARBON))
 
 
+class UniqueKeyLoader(yaml.SafeLoader):
+    """`yaml.SafeLoader` that rejects a key repeated in one mapping; safe_load keeps the last."""
+
+
+def _unique_key_mapping(loader, node):
+    seen = set()
+    for key_node, _ in node.value:
+        if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+            key = loader.construct_object(key_node)
+            if key in seen:
+                raise yaml.MarkedYAMLError(None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+    return loader.construct_mapping(node, deep=True)
+
+
+UniqueKeyLoader.add_constructor("tag:yaml.org,2002:map", _unique_key_mapping)
+
+
 def save_topology(spec: TopologySpec, path) -> None:
     Path(path).write_text(yaml.safe_dump(topology_to_dict(spec), sort_keys=False))
 
 
 def load_topology(path) -> TopologySpec:
     try:
-        data = yaml.safe_load(Path(path).read_text())
+        data = yaml.load(Path(path).read_text(), Loader=UniqueKeyLoader)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:

@@ -136,6 +136,21 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'migraton_frequency': unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, key, line",
+        [
+            ("problem: {kind: mmdp, k: 2}\nbudget: 5000\nbudget: 100000\n", "budget", 4),
+            ("problem: {kind: mmdp, k: 2, k: 3}\nbudget: 5000\n", "k", 2),
+        ],
+    )
+    def test_duplicate_key_is_config_error(self, tmp_path, capsys, body, key, line):
+        # a plain YAML load keeps the last value, and the run would exit 0
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("setup: {kind: panmictic_ssga}\n" + body)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"duplicate key '{key}'" in err and f"line {line}," in err
+
     @pytest.mark.parametrize("field", ["migration_count", "budget", "repetitions"])
     def test_non_integral_number_is_config_error(self, tmp_path, capsys, field):
         cfg = write_config(tmp_path / "exp.yaml", **{field: 2.7})
@@ -548,6 +563,16 @@ class TestValidateTopology:
         path.write_text(yaml.safe_dump(doc))
         assert main(["validate-topology", str(path)]) == 2
         assert f"missing '{key}'" in capsys.readouterr().err
+
+    def test_duplicate_key_is_input_error(self, tmp_path, capsys):
+        text = (REPO_ROOT / "topologies" / "ethane_g.topology").read_text()
+        path = tmp_path / "dup.topology"
+        path.write_text(text.replace("  speed_factor: 0.35\n", "  speed_factor: 0.35\n  speed_factor: 1.0\n", 1))
+        assert main(["validate-topology", str(path)]) == 2
+        assert "duplicate key 'speed_factor'" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'setup.topology'" in capsys.readouterr().err
 
     def test_parse_failure_is_input_error(self, tmp_path):
         path = tmp_path / "broken.topology"

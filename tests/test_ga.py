@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hydrocm.ga import (
     select_emigrant,
 )
 from hydrocm.problems import MmdpInstance, generate_ssp_instance
+from hydrocm.seeding import BufferedRng
 
 from conftest import node_rng, panmictic
 
@@ -210,6 +212,80 @@ class TestFlipPositions:
     def test_rejects_bad_rate(self, rng):
         with pytest.raises(ValueError):
             flip_positions(4, -0.1, rng)
+
+
+def reference_positions(length, p, rng):
+    return np.flatnonzero(gap_mutate_reference(np.zeros(length, np.uint8), p, rng)).tolist()
+
+
+def buffered(seed, block):
+    return BufferedRng(np.random.Generator(np.random.PCG64(seed)), block=block)
+
+
+class StubGenerator:
+    """Stands in for a numpy Generator: `random(size)` cycles through
+    fixed uniforms."""
+
+    def __init__(self, values):
+        self.values, self.i = values, 0
+
+    def random(self, size):
+        out = [self.values[(self.i + j) % len(self.values)] for j in range(size)]
+        self.i += size
+        return np.array(out)
+
+
+class TestGapTable:
+    """`flip_positions` reads the gaps from `BufferedRng`'s per-block
+    table; it must give the positions and leave the stream where the
+    plain per-draw loop does."""
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    @pytest.mark.parametrize("length", [1, 2, 30, 2048])
+    @pytest.mark.parametrize("rate", ["1e-20", "1e-6", "4/L", "0.5", "0.999"])
+    def test_same_as_reference(self, block, length, rate):
+        # 4/L is capped at rate 1 for L < 4
+        p = min(1.0, 4.0 / length) if rate == "4/L" else float(rate)
+        table, reference = buffered(61, block), buffered(61, block)
+        for call in range(300):
+            assert flip_positions(length, p, table) == reference_positions(length, p, reference)
+            # plain draws between calls come from the same stream position
+            for _ in range(call % 3):
+                assert table.random() == reference.random()
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    def test_two_rates_alternating(self, block):
+        table, reference = buffered(67, block), buffered(67, block)
+        for call in range(600):
+            p = 4.0 / 2048 if call % 2 else 0.05
+            assert flip_positions(2048, p, table) == reference_positions(2048, p, reference)
+        assert table.random() == reference.random()
+
+    def test_denormal_rate_ends_every_call(self):
+        # the scalar loop's int(inf) raises OverflowError at this rate; the
+        # table caps the quotient, and each call consumes its one draw
+        table, stream = buffered(71, 7), buffered(71, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(100):
+                assert flip_positions(2048, 5e-324, table) == []
+                stream.random()
+                assert table.random() == stream.random()
+
+    @pytest.mark.parametrize("toward", [0.0, -np.inf], ids=["toward_zero", "away_from_zero"])
+    @pytest.mark.parametrize("p", [0.5, 0.1, 4.0 / 2048])
+    def test_one_ulp_log_falls_back_to_exact_gaps(self, monkeypatch, toward, p):
+        # uniforms whose quotient log(1 - u) / log1p(-p) sits on an integer,
+        # where a one-ulp error in numpy's log would move the floor
+        log_q = math.log1p(-p)
+        uniforms = [-math.expm1(k * log_q) for k in range(1, 51)] + [0.0]
+        exact_log = np.log
+        monkeypatch.setattr(np, "log", lambda x: np.nextafter(exact_log(x), toward))
+        table = BufferedRng(StubGenerator(uniforms), block=64)
+        reference = BufferedRng(StubGenerator(uniforms), block=64)
+        for _ in range(40):
+            assert flip_positions(600, p, table) == reference_positions(600, p, reference)
+            assert table.random() == reference.random()
 
 
 class TestSsgaStep:
