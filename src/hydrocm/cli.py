@@ -197,7 +197,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     path = Path(path)
     try:
         data = yaml.load(path.read_text(), Loader=UniqueKeyLoader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"not valid YAML: {exc}") from None

@@ -180,8 +180,9 @@ class _GaIsland(_Island):
 
     def step(self) -> float:
         f = ga_mod._offspring_step(self.pop, self.params, self.problem, self.rng)
-        self.stats.evaluations += 1
-        self.stats.iterations += 1
+        stats = self.stats
+        stats.evaluations += 1
+        stats.iterations += 1
         if f > self.best_fitness:
             self.best_fitness = f
         return f
@@ -294,8 +295,9 @@ def run_experiment(config: RunConfig) -> RunResult:
     elapsed_micro = 0
     if not is_optimum(global_best, problem):
         for micro, idx in scheduler:
-            if not budget.try_take(1):
+            if budget.used >= budget.limit:  # `try_take(1)`, inlined
                 break
+            budget.used += 1
             island = islands[idx]
             f = island.step()
             elapsed_micro = micro

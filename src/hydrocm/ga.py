@@ -74,22 +74,29 @@ class Population:
     """Fixed-size population backed by flat arrays. Owned by exactly one
     island.
 
-    The index of the worst member is cached. Every write goes through
-    `replace_worst`, which keeps the cache equal to `np.argmin` (first
-    minimum on ties) of the fitness array."""
+    `fit` mirrors `fitness` as a list of Python floats and `rows` holds a
+    view of each row of `genomes`, so the per-step reads (tournaments, the
+    replace test, emigrants) skip numpy scalars and fresh views.
 
-    __slots__ = ("genomes", "fitness", "_worst")
+    The index of the worst member is cached. Every write goes through
+    `replace_worst`, which keeps the mirror equal to the array and the
+    cache equal to `np.argmin` (first minimum on ties) of the fitness
+    array."""
+
+    __slots__ = ("genomes", "fitness", "fit", "rows", "_worst")
 
     def __init__(self, genomes: np.ndarray, fitness: np.ndarray):
         if genomes.shape[0] != fitness.shape[0]:
             raise ValueError("genomes and fitness must have equal leading size")
         self.genomes = genomes
         self.fitness = fitness
+        self.fit: list[float] = fitness.tolist()
+        self.rows: list[Genome] = list(genomes)
         self._worst: int | None = None
 
     @property
     def size(self) -> int:
-        return self.genomes.shape[0]
+        return len(self.fit)
 
     def worst_index(self) -> int:
         w = self._worst
@@ -102,9 +109,10 @@ class Population:
         the new fitness is not above the old worst: that slot is still the
         first minimum."""
         w = self.worst_index()
-        old = self.fitness[w]
+        fit = self.fit
+        old = fit[w]
         self.genomes[w] = genome
-        self.fitness[w] = fitness
+        self.fitness[w] = fit[w] = fitness
         if fitness > old:
             self._worst = None
 
@@ -112,7 +120,7 @@ class Population:
         return float(self.fitness.max())
 
     def member(self, i: int) -> Individual:
-        return Individual(self.genomes[i].copy(), float(self.fitness[i]))
+        return Individual(self.rows[i].copy(), self.fit[i])
 
 
 def init_population(params: GaParams, problem, rng) -> Population:
@@ -127,12 +135,12 @@ def _tournament_index(pop: Population, size: int, rng) -> int:
     """Index of the fittest of `size` draws with replacement; ties keep the
     first-drawn. Each draw is `int(u * n)` for one uniform u, the value
     `BufferedRng.integers(0, n)` returns."""
-    fitness = pop.fitness
-    n = fitness.shape[0]
+    fit = pop.fit
+    n = len(fit)
     best = int(rng.random() * n)
     for _ in range(size - 1):
         j = int(rng.random() * n)
-        if fitness[j] > fitness[best]:
+        if fit[j] > fit[best]:
             best = j
     return best
 
@@ -140,9 +148,9 @@ def _tournament_index(pop: Population, size: int, rng) -> int:
 def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome:
     """With probability p_crossover, splice a prefix of `a` to a suffix of
     `b` at a cut in [1, L-1]; otherwise return a copy of `a`."""
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"parent lengths differ: {a.shape[0]} != {b.shape[0]}")
-    length = a.shape[0]
+    length = len(a)
+    if length != len(b):
+        raise ValueError(f"parent lengths differ: {length} != {len(b)}")
     if rng.random() >= p_crossover or length < 2:
         return a.copy()
     cut = 1 + int(rng.random() * (length - 1))
@@ -186,10 +194,11 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     """
     i = _tournament_index(pop, params.tournament_size, rng)
     j = _tournament_index(pop, params.tournament_size, rng)
-    child = one_point_crossover(pop.genomes[i], pop.genomes[j], params.p_crossover, rng)
+    rows = pop.rows
+    child = one_point_crossover(rows[i], rows[j], params.p_crossover, rng)
     mutate(child, params.p_mutation_per_bit, rng)
     f = problem.evaluate(child)
-    if f >= pop.fitness[pop.worst_index()]:
+    if f >= pop.fit[pop.worst_index()]:
         pop.replace_worst(child, f)
     return f
 
@@ -204,6 +213,7 @@ def immigrate(pop: Population, incoming) -> Population:
 def select_emigrant(pop: Population, rng) -> Individual:
     """Uniformly random member, copied (the population is unchanged); the
     index is drawn as in `_tournament_index`."""
-    if pop.size == 0:
+    n = len(pop.fit)
+    if n == 0:
         raise ValueError("population is empty")
-    return pop.member(int(rng.random() * pop.size))
+    return pop.member(int(rng.random() * n))

@@ -48,14 +48,12 @@ class MmdpInstance:
     """MMDP instance with k deceptive 6-bit subproblems; optimum is exactly k."""
 
     k: int
+    length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-
-    @property
-    def length(self) -> int:
-        return MMDP_BLOCK_BITS * self.k
+        object.__setattr__(self, "length", MMDP_BLOCK_BITS * self.k)
 
     @property
     def optimum(self) -> float:
@@ -64,10 +62,12 @@ class MmdpInstance:
     def evaluate(self, genome: Genome) -> float:
         """Sum of the deception subfunction over consecutive disjoint 6-bit
         blocks."""
-        # the body of `tally`, inlined: this is the hot full evaluation
+        # the bodies of `tally` and `fitness_of`, inlined: this is the hot
+        # full evaluation
         if genome.shape[0] != self.length:
             raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
-        return self.fitness_of(genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES))
+        unitation = genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES)
+        return float(np.add.reduce(_MMDP_SUBFUNCTION.take(unitation)))
 
     def tally(self, genome: Genome) -> np.ndarray:
         """Unitation of each 6-bit block, a uint8 vector of length k."""
@@ -104,6 +104,7 @@ class SubsetSumInstance:
     weights_f64: np.ndarray = field(init=False, repr=False)
     #: `weights` as Python ints, for `flip`'s scalar reads
     _weights_list: list = field(init=False, repr=False)
+    length: int = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.int64)
@@ -118,10 +119,7 @@ class SubsetSumInstance:
             raise ValueError("known_optimum must lie in [0, capacity]")
         object.__setattr__(self, "weights_f64", w.astype(np.float64))
         object.__setattr__(self, "_weights_list", w.tolist())
-
-    @property
-    def length(self) -> int:
-        return int(self.weights.shape[0])
+        object.__setattr__(self, "length", w.shape[0])
 
     @property
     def optimum(self) -> float:

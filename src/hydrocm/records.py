@@ -15,7 +15,7 @@ from pathlib import Path
 RECORD_HEADER = "seed,evaluations,elapsed_ms,best,success"
 
 
-@dataclass
+@dataclass(slots=True)
 class IslandStats:
     """Per-node counters aggregated into a RunResult."""
 
@@ -85,13 +85,20 @@ def _finite(name: str, cell: str) -> float:
     return value
 
 
+def _at_least(name: str, value, minimum):
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
+
+
 def read_records(path) -> list[RecordRow]:
     """Parse a record file; raises ValueError naming the file, and the
-    offending line. `success` must be 0 or 1, and `elapsed_ms` and `best`
-    finite."""
+    offending line. `success` must be 0 or 1, `seed` at least 0,
+    `evaluations` at least 1, `elapsed_ms` finite and at least 0 (a run
+    can solve at initialization), and `best` finite."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != RECORD_HEADER:
@@ -106,9 +113,9 @@ def read_records(path) -> list[RecordRow]:
                 raise ValueError(f"success must be 0 or 1, got {parts[4]!r}")
             rows.append(
                 RecordRow(
-                    seed=int(parts[0]),
-                    evaluations=int(parts[1]),
-                    elapsed_ms=_finite("elapsed_ms", parts[2]),
+                    seed=_at_least("seed", int(parts[0]), 0),
+                    evaluations=_at_least("evaluations", int(parts[1]), 1),
+                    elapsed_ms=_at_least("elapsed_ms", _finite("elapsed_ms", parts[2]), 0.0),
                     best=_finite("best", parts[3]),
                     success=parts[4] == "1",
                 )

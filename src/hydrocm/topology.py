@@ -346,7 +346,7 @@ def save_topology(spec: TopologySpec, path) -> None:
 def load_topology(path) -> TopologySpec:
     try:
         data = yaml.load(Path(path).read_text(), Loader=UniqueKeyLoader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: not valid topology YAML: {exc}") from None

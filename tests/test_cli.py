@@ -305,6 +305,12 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'setup.topology'" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_bytes(b"\xff\xfe" + "budget: 100\n".encode("utf-16-le"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field 'config': cannot read {cfg}: 'utf-8' codec" in capsys.readouterr().err
+
     def test_exit_zero_even_with_failures(self, tmp_path):
         cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, budget=200, repetitions=2)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -441,6 +447,23 @@ class TestReport:
         assert main(["report", str(path)]) == 2
         assert f"line 2: {message}" in capsys.readouterr().err
 
+    def test_non_utf8_record_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"\xff\xfe" + "seed,evaluations".encode("utf-16-le"))
+        assert main(["report", str(path)]) == 2
+        assert f"cannot read {path}: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1,-10,5,1.0,1", "evaluations must be >= 1"), ("-3,10,5,1.0,1", "seed must be >= 0")],
+        ids=["evaluations", "seed"],
+    )
+    def test_impossible_record_cell_is_input_error(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"seed,evaluations,elapsed_ms,best,success\n{row}\n")
+        assert main(["report", str(path)]) == 2
+        assert f"{path}: line 2: {message}" in capsys.readouterr().err
+
     def test_written_report(self, tmp_path):
         a, b = self.make_records(tmp_path)
         out = tmp_path / "report.csv"
@@ -573,6 +596,12 @@ class TestValidateTopology:
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'setup.topology'" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.topology"
+        path.write_bytes(b"\xff\xfe" + "nodes: []\n".encode("utf-16-le"))
+        assert main(["validate-topology", str(path)]) == 2
+        assert f"cannot read {path}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_parse_failure_is_input_error(self, tmp_path):
         path = tmp_path / "broken.topology"

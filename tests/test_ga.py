@@ -422,6 +422,40 @@ class TestSelectEmigrant:
         assert scipy_stats.chisquare(counts).pvalue > 0.01
 
 
+class TestPopulationMirror:
+    """`fit` and `rows`, the list mirrors the hot path reads, stay equal to
+    the arrays through every kind of write and read."""
+
+    @pytest.mark.parametrize(
+        "problem", [MmdpInstance(k=3), generate_ssp_instance(40, seed=2)], ids=["mmdp", "ssp"]
+    )
+    def test_mirror_matches_arrays_after_mixed_calls(self, problem):
+        params = GaParams(pop_size=12).resolved_for(problem.length)
+        rng = node_rng(71)
+        pop = init_population(params, problem, rng)
+        donor = init_population(params, problem, node_rng(72))
+        for step in range(600):
+            op = step % 5
+            if op == 3:
+                immigrate(pop, select_emigrant(donor, rng))
+            elif op == 4:
+                genomes, fitness = pop.genomes.copy(), pop.fitness.copy()
+                emigrant = select_emigrant(pop, rng)
+                emigrant.genome ^= 1
+                emigrant.fitness = -1.0
+                assert np.array_equal(pop.genomes, genomes)
+                assert np.array_equal(pop.fitness, fitness)
+            else:
+                _offspring_step(pop, params, problem, rng)
+            assert pop.fit == pop.fitness.tolist()
+            assert all(type(f) is float for f in pop.fit)
+            assert len(pop.rows) == pop.size
+            for i, row in enumerate(pop.rows):
+                assert row.base is pop.genomes and np.shares_memory(row, pop.genomes[i])
+            assert np.array_equal(np.stack(pop.rows), pop.genomes)
+            assert pop.worst_index() == int(np.argmin(pop.fitness))
+
+
 class TestRunPanmicticSsga:
     def test_budget_equal_to_pop_size_stops_after_init(self):
         res = panmictic("ssga", MmdpInstance(k=2), budget=64, seed=1)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hydrocm.records import (
@@ -64,6 +66,29 @@ def test_bad_cell_names_line(tmp_path, row, message):
         read_records(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("-1,2,3.0,4.0,1", "seed must be >= 0, got -1"),
+        ("1,-10,5,1.0,1", "evaluations must be >= 1, got -10"),
+        ("1,0,3.0,4.0,0", "evaluations must be >= 1, got 0"),
+        ("1,2,-0.5,4.0,1", "elapsed_ms must be >= 0.0, got -0.5"),
+    ],
+)
+def test_impossible_cell_names_line(tmp_path, row, message):
+    path = tmp_path / "records.csv"
+    path.write_text(f"{RECORD_HEADER}\n1,2,3.0,4.0,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"{path.name}: line 3: {message}"):
+        read_records(path)
+
+
+def test_lowest_valid_cells_accepted(tmp_path):
+    # a run that solves at initialization reports elapsed_ms 0.0
+    path = tmp_path / "records.csv"
+    path.write_text(f"{RECORD_HEADER}\n0,1,0.0,4.0,1\n")
+    assert read_records(path) == [RecordRow(seed=0, evaluations=1, elapsed_ms=0.0, best=4.0, success=True)]
+
+
 def test_line_numbers_count_blank_lines(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(f"{RECORD_HEADER}\n\n1,2,3.0,4.0,1\n\n1,2,3.0,4.0,7\n")
@@ -74,6 +99,13 @@ def test_line_numbers_count_blank_lines(tmp_path):
 def test_unreadable_file_names_path(tmp_path):
     with pytest.raises(ValueError, match="cannot read"):
         read_records(tmp_path)
+
+
+def test_non_utf8_file_names_path(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"\xff\xfe" + RECORD_HEADER.encode("utf-16-le"))
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+        read_records(path)
 
 
 def test_trace_round_trip(tmp_path):
