@@ -240,8 +240,6 @@ def initialization_cost(topology: TopologySpec, ga: GaParams | None, sa: SaParam
 
 def _build_islands(config: RunConfig) -> list[_Island]:
     spec = config.topology
-    if not spec.nodes:
-        raise ValueError("topology must have at least one node")
     channels = compile_channels(spec)
     cost = initialization_cost(spec, config.ga, config.sa)
     if config.evaluation_budget < cost:

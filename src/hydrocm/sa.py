@@ -94,13 +94,16 @@ def accept(f_current: float, f_candidate: float, temperature: float, rng) -> boo
 
 
 def update_temperature(t0: float, step: int, params: SaParams) -> float:
-    """Temperature after `step` updates; strictly positive and
-    non-increasing in `step` for both schedules."""
+    """Temperature after `step` updates; non-increasing in `step` for both
+    schedules, and clamped at the smallest positive float so that a
+    schedule that underflows stays strictly positive."""
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
     if params.schedule == "fast":
-        return t0 / (1.0 + params.schedule_rate * step)
-    return t0 * params.schedule_rate**step
+        t = t0 / (1.0 + params.schedule_rate * step)
+    else:
+        t = t0 * params.schedule_rate**step
+    return max(t, math.ulp(0.0))
 
 
 def estimate_t0(problem, rng) -> float:

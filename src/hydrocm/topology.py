@@ -9,6 +9,7 @@ a separate kind that bypasses valence rules.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,44 +171,50 @@ def ring_topology(n: int, fast_positions, slow_factor: float = DEFAULT_SLOW_FACT
     return TopologySpec(nodes, bonds, KIND_RING)
 
 
-def _connected_components(spec: TopologySpec) -> list[set[str]]:
-    ids = set(spec.node_ids())
-    adj: dict[str, set[str]] = {i: set() for i in ids}
-    for b in spec.bonds:
-        if b.a in ids and b.b in ids:
-            adj[b.a].add(b.b)
-            adj[b.b].add(b.a)
-    seen: set[str] = set()
-    components = []
-    for start in spec.node_ids():
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        components.append(comp)
-    return components
+def validate_topology(spec: TopologySpec) -> list[str]:
+    """All violations, with node ids; an empty list means the spec is valid.
 
+    Both kinds need at least one node, bonds between known nodes, no
+    repeated link (an unordered pair for hydrocarbons, an ordered pair for
+    rings) and a connected graph. Hydrocarbons then obey valence. Each
+    ring node has exactly one outgoing and one incoming bond, which with
+    connectivity makes the bonds one directed cycle over every node."""
+    ring = spec.kind == KIND_RING
+    violations = [] if spec.nodes else ["topology has no nodes"]
+    root = {i: i for i in spec.node_ids()}
 
-def validate_hydrocarbon(spec: TopologySpec) -> list[str]:
-    """All valence, duplicate-bond and connectivity violations, with node
-    ids; an empty list means the spec is a valid hydrocarbon."""
-    violations = []
-    ids = set(spec.node_ids())
+    def find(i: str) -> str:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    links = set()
     for b in spec.bonds:
-        for endpoint in (b.a, b.b):
-            if endpoint not in ids:
-                violations.append(f"bond {b.a}-{b.b} references unknown node {endpoint}")
-    seen_pairs = set()
-    for b in spec.bonds:
-        if b.pair in seen_pairs:
+        unknown = [e for e in (b.a, b.b) if e not in root]
+        for endpoint in unknown:
+            violations.append(f"bond {b.a}-{b.b} references unknown node {endpoint}")
+        link = (b.a, b.b) if ring else b.pair
+        if link in links:
             violations.append(f"duplicate bond between {b.a} and {b.b}")
-        seen_pairs.add(b.pair)
+        links.add(link)
+        if not unknown:
+            root[find(b.a)] = find(b.b)
+    components: dict[str, list[str]] = {}
+    for i in root:
+        components.setdefault(find(i), []).append(i)
+    for comp in list(components.values())[1:]:
+        violations.append(f"disconnected component: {sorted(comp)}")
+
+    if ring:
+        out = Counter(b.a for b in spec.bonds)
+        inc = Counter(b.b for b in spec.bonds)
+        for n in spec.nodes:
+            if out[n.id] != 1 or inc[n.id] != 1:
+                violations.append(
+                    f"ring node {n.id} has {out[n.id]} outgoing and {inc[n.id]} incoming bonds, expected 1 each"
+                )
+        return violations
     degree = spec.bond_degree()
     for node in spec.nodes:
         d = degree[node.id]
@@ -215,47 +222,7 @@ def validate_hydrocarbon(spec: TopologySpec) -> list[str]:
             violations.append(f"hydrogen {node.id} has bond multiplicity {d}, expected exactly 1")
         elif node.atom == CARBON and d > VALENCE[CARBON]:
             violations.append(f"carbon {node.id} has bond multiplicity {d}, at most 4 allowed")
-    components = _connected_components(spec)
-    if len(components) > 1:
-        for comp in components[1:]:
-            violations.append(f"disconnected component: {sorted(comp)}")
     return violations
-
-
-def _validate_ring(spec: TopologySpec) -> list[str]:
-    """Structural checks for ring kind: the directed bonds must form one
-    cycle covering every node."""
-    violations = []
-    ids = spec.node_ids()
-    succ: dict[str, str] = {}
-    for b in spec.bonds:
-        if b.a not in set(ids) or b.b not in set(ids):
-            violations.append(f"bond {b.a}-{b.b} references unknown node")
-            continue
-        if b.a in succ:
-            violations.append(f"node {b.a} has more than one outgoing ring bond")
-        succ[b.a] = b.b
-    missing = [i for i in ids if i not in succ]
-    if missing:
-        violations.append(f"nodes without outgoing ring bond: {missing}")
-    if violations:
-        return violations
-    cursor = ids[0]
-    visited = []
-    for _ in range(len(ids)):
-        visited.append(cursor)
-        cursor = succ[cursor]
-    if cursor != ids[0] or len(set(visited)) != len(ids):
-        violations.append("ring bonds do not form a single cycle over all nodes")
-    return violations
-
-
-def validate_topology(spec: TopologySpec) -> list[str]:
-    """Kind-aware validation: hydrocarbon rules, or ring structure for
-    ring kind (which bypasses valence)."""
-    if spec.kind == KIND_RING:
-        return _validate_ring(spec)
-    return validate_hydrocarbon(spec)
 
 
 def compile_channels(spec: TopologySpec) -> tuple[ChannelSpec, ...]:

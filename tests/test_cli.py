@@ -14,6 +14,7 @@ from hydrocm.topology import (
     panmictic_topology,
     ring_topology,
     topology_to_dict,
+    validate_topology,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -298,6 +299,21 @@ class TestRun:
         cfg = write_config(tmp_path / "exp.yaml", setup=setup, **{section: {key: value}})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{section}': {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sa", [{"schedule": "geometric", "schedule_rate": 0.9}, {"t0": 1.0e-320}], ids=["geometric-0.9", "t0-subnormal"]
+    )
+    def test_temperature_underflow_runs(self, tmp_path, sa):
+        # both schedules reach 0.0 within the budget unless the temperature is clamped
+        cfg = write_config(
+            tmp_path / "exp.yaml",
+            problem={"kind": "mmdp", "k": 25},
+            setup={"kind": "panmictic_sa"},
+            budget=20_000,
+            repetitions=1,
+            sa=sa,
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("topology", [".", 5], ids=["directory", "number"])
     def test_unreadable_custom_topology_is_config_error(self, tmp_path, capsys, topology):
@@ -614,3 +630,42 @@ class TestValidateTopology:
     def test_directory_is_input_error(self, tmp_path, capsys):
         assert main(["validate-topology", str(tmp_path)]) == 2
         assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+    def test_empty_hydrocarbon_file_is_a_finding(self, tmp_path, capsys):
+        path = tmp_path / "empty.topology"
+        path.write_text("kind: hydrocarbon\nnodes: []\nbonds: []\n")
+        assert main(["validate-topology", str(path)]) == 1
+        assert capsys.readouterr().out == "topology has no nodes\n"
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config field 'setup.topology': topology has no nodes" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bonds, finding",
+        [
+            (None, "topology has no nodes"),
+            ([("N0", "N1"), ("N1", "N2"), ("N2", "Z9")], "bond N2-Z9 references unknown node Z9"),
+            ([("N0", "N1"), ("N0", "N2"), ("N1", "N2"), ("N2", "N0")], "ring node N0 has 2 outgoing and 1 incoming bonds, expected 1 each"),
+            ([("N0", "N1"), ("N1", "N2")], "ring node N2 has 0 outgoing and 1 incoming bonds, expected 1 each"),
+            ([("N0", "N1"), ("N1", "N0"), ("N2", "N3"), ("N3", "N2")], "disconnected component: ['N2', 'N3']"),
+            ([("N0", "N1"), ("N0", "N1"), ("N1", "N0")], "duplicate bond between N0 and N1"),
+        ],
+        ids=["empty", "unknown-endpoint", "two-outgoing", "no-outgoing", "two-cycles", "repeated-link"],
+    )
+    def test_invalid_ring_is_a_finding(self, tmp_path, capsys, bonds, finding):
+        ids = sorted({i for bond in bonds or () for i in bond} - {"Z9"})
+        doc = {
+            "kind": "ring",
+            "nodes": [{"id": i} for i in ids],
+            "bonds": [{"a": a, "b": b} for a, b in bonds or ()],
+        }
+        path = tmp_path / "ring.topology"
+        path.write_text(yaml.safe_dump(doc))
+        assert finding in validate_topology(load_topology(path))
+        assert main(["validate-topology", str(path)]) == 1
+        assert finding in capsys.readouterr().out
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'setup.topology'" in capsys.readouterr().err

@@ -99,6 +99,18 @@ class TestUpdateTemperature:
             assert 0.0 < t <= prev
             prev = t
 
+    @pytest.mark.parametrize(
+        "t0, params",
+        [(1.0, SaParams(schedule="geometric", schedule_rate=0.999)), (1e-320, SaParams(schedule="fast"))],
+        ids=["geometric-0.999", "fast-t0-subnormal"],
+    )
+    def test_positive_through_underflow(self, t0, params):
+        prev = update_temperature(t0, 0, params)
+        for k in range(1, 10**6 + 1):
+            t = update_temperature(t0, k, params)
+            assert 0.0 < t <= prev
+            prev = t
+
     def test_rejects_negative_step(self):
         with pytest.raises(ValueError):
             update_temperature(1.0, -1, SaParams())

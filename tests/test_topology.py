@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +16,6 @@ from hydrocm.topology import (
     load_topology,
     ring_topology,
     save_topology,
-    validate_hydrocarbon,
     validate_topology,
 )
 
@@ -54,8 +56,8 @@ class TestEthane:
         assert all(n.speed_factor == 0.5 for n in spec.nodes if n.atom == "hydrogen")
 
     def test_validates(self):
-        assert validate_hydrocarbon(ethane_topology("G")) == []
-        assert validate_hydrocarbon(ethane_topology("S")) == []
+        assert validate_topology(ethane_topology("G")) == []
+        assert validate_topology(ethane_topology("S")) == []
 
     def test_pure_constructor(self):
         assert ethane_topology("G") == ethane_topology("G")
@@ -109,13 +111,13 @@ class TestRing:
 
 class TestValidateHydrocarbon:
     def test_methane_valid(self):
-        assert validate_hydrocarbon(methane()) == []
+        assert validate_topology(methane()) == []
 
     def test_pentavalent_carbon(self):
         nodes = [NodeSpec("C0", "carbon", "ssga")]
         nodes += [NodeSpec(f"H{i}", "hydrogen", "sa") for i in range(5)]
         bonds = [BondSpec("C0", f"H{i}") for i in range(5)]
-        violations = validate_hydrocarbon(TopologySpec(tuple(nodes), tuple(bonds)))
+        violations = validate_topology(TopologySpec(tuple(nodes), tuple(bonds)))
         assert len(violations) == 1
         assert "C0" in violations[0]
 
@@ -123,7 +125,7 @@ class TestValidateHydrocarbon:
         spec = TopologySpec(
             (NodeSpec("C0", "carbon", "ssga"), NodeSpec("H0", "hydrogen", "sa")), ()
         )
-        violations = validate_hydrocarbon(spec)
+        violations = validate_topology(spec)
         assert any("H0" in v for v in violations)
 
     def test_disconnected_molecules(self):
@@ -133,7 +135,7 @@ class TestValidateHydrocarbon:
         )
         rebonds = tuple(BondSpec(b.a + "x", b.b + "x", b.multiplicity) for b in a.bonds)
         combined = TopologySpec(a.nodes + renamed, a.bonds + rebonds)
-        violations = validate_hydrocarbon(combined)
+        violations = validate_topology(combined)
         assert any("disconnected" in v for v in violations)
 
     def test_duplicate_bond(self):
@@ -149,13 +151,98 @@ class TestValidateHydrocarbon:
             BondSpec("C0", "H0"),
             BondSpec("C1", "H1"),
         )
-        violations = validate_hydrocarbon(TopologySpec(nodes, bonds))
+        violations = validate_topology(TopologySpec(nodes, bonds))
         assert any("duplicate" in v for v in violations)
 
     def test_unknown_endpoint(self):
         spec = TopologySpec((NodeSpec("C0", "carbon", "ssga"),), (BondSpec("C0", "Z9"),))
-        violations = validate_hydrocarbon(spec)
+        violations = validate_topology(spec)
         assert any("Z9" in v for v in violations)
+
+
+def ring_reference(spec):
+    """One cycle over all nodes: every node has exactly one known successor,
+    and the walk from the first node meets each node once and comes back."""
+    ids = spec.node_ids()
+    succ = {b.a: b.b for b in spec.bonds}
+    if not ids or len(spec.bonds) != len(ids) or set(succ) != set(ids) or not set(succ.values()) <= set(ids):
+        return False
+    walk, cursor = [], ids[0]
+    for _ in ids:
+        walk.append(cursor)
+        cursor = succ[cursor]
+    return cursor == ids[0] and sorted(walk) == sorted(ids)
+
+
+def hydrocarbon_reference(spec):
+    """Known endpoints, no repeated unordered pair, valence, and one
+    breadth-first component over all nodes."""
+    ids = spec.node_ids()
+    if not ids or any(e not in ids for b in spec.bonds for e in (b.a, b.b)):
+        return False
+    if len({b.pair for b in spec.bonds}) != len(spec.bonds):
+        return False
+    degree = Counter()
+    for b in spec.bonds:
+        degree[b.a] += b.multiplicity
+        degree[b.b] += b.multiplicity
+    for n in spec.nodes:
+        if (n.atom == "hydrogen" and degree[n.id] != 1) or (n.atom == "carbon" and degree[n.id] > 4):
+            return False
+    reached, frontier = {ids[0]}, [ids[0]]
+    while frontier:
+        here = frontier.pop(0)
+        for b in spec.bonds:
+            if here in (b.a, b.b):
+                there = b.b if here == b.a else b.a
+                if there not in reached:
+                    reached.add(there)
+                    frontier.append(there)
+    return len(reached) == len(ids)
+
+
+def random_spec(r, kind):
+    """A small node and bond set: often a cycle (ring) or a tree
+    (hydrocarbon), sometimes split, cut, doubled or pointed at an unknown
+    node, otherwise random bonds."""
+    ids = [f"N{i}" for i in range(r.randint(0, 6))]
+    order = r.sample(ids, len(ids))
+    if ids and r.random() < 0.6:
+        if kind == "ring":
+            cut = r.randint(1, len(order)) if r.random() < 0.3 else len(order)
+            cycles = [c for c in (order[:cut], order[cut:]) if len(c) > 1]
+            pairs = [(c[j - 1], c[j]) for c in cycles for j in range(len(c))]
+        else:
+            pairs = [(order[r.randrange(j)], order[j]) for j in range(1, len(order))]
+    else:
+        pairs = [(r.choice(ids + ["X"]), r.choice(ids + ["Y"])) for _ in range(r.randint(0, 2 * len(ids)))]
+    if pairs and r.random() < 0.2:
+        pairs.pop(r.randrange(len(pairs)))
+    if pairs and r.random() < 0.2:
+        a, b = r.choice(pairs)
+        pairs.append(r.choice([(a, b), (b, a)]))
+    if ids and r.random() < 0.05:
+        pairs.append((r.choice(ids), "Z"))
+    bonds = tuple(BondSpec(a, b, r.choice((1, 1, 1, 2, 3))) for a, b in pairs if a != b)
+    degree = Counter()
+    for b in bonds:
+        degree[b.a] += b.multiplicity
+        degree[b.b] += b.multiplicity
+    atoms = {i: "hydrogen" if degree[i] == 1 and r.random() < 0.9 else "carbon" for i in ids}
+    return TopologySpec(tuple(NodeSpec(i, atoms[i], "ssga") for i in ids), bonds, kind)
+
+
+class TestValidatorMatchesReference:
+    @pytest.mark.parametrize("kind, reference", [("ring", ring_reference), ("hydrocarbon", hydrocarbon_reference)])
+    def test_same_verdict_on_random_specs(self, kind, reference):
+        r = random.Random(15)
+        verdicts = Counter()
+        for _ in range(10_000):
+            spec = random_spec(r, kind)
+            valid = reference(spec)
+            assert (validate_topology(spec) == []) == valid, spec
+            verdicts[valid] += 1
+        assert min(verdicts[True], verdicts[False]) > 1_000, verdicts
 
 
 class TestCompileChannels:
@@ -207,7 +294,7 @@ class TestRandomHydrocarbon:
     @given(st.integers(0, 10_000))
     def test_always_valid(self, seed):
         spec = random_hydrocarbon(np.random.default_rng(seed))
-        assert validate_hydrocarbon(spec) == []
+        assert validate_topology(spec) == []
 
     @given(st.integers(0, 10_000))
     def test_handshake_lemma(self, seed):
