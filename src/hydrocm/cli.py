@@ -17,7 +17,7 @@ import yaml
 from .engine import RunConfig, initialization_cost, run_experiment
 from .ga import GaParams
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance, save_instance
-from .records import read_records, record_from_result, write_records, write_trace
+from .records import read_records, write_records, write_trace
 from .sa import SaParams
 from .stats import (
     SUMMARY_COLUMNS,
@@ -270,7 +270,7 @@ def cmd_run(args) -> int:
         rows = []
         for rep in range(cfg.repetitions):
             result = run_experiment(replace(cfg.run, seed=cfg.run.seed + rep))
-            rows.append(record_from_result(result))
+            rows.append(result)
             write_trace(traces_dir / f"rep{rep:04d}.trace", result.trace)
         write_records(out_dir / "records.csv", rows)
     except OSError as exc:

@@ -54,24 +54,6 @@ class Channel:
         return msgs
 
 
-class EvalBudget:
-    """Global evaluation counter with a hard limit, shared by all islands."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def try_take(self, n: int = 1) -> bool:
-        if self.used + n > self.limit:
-            return False
-        self.used += n
-        return True
-
-    def force(self, n: int) -> None:
-        """Count evaluations that must happen regardless (initialization)."""
-        self.used += n
-
-
 class VirtualScheduler:
     """Deterministic weighted round-robin over nodes.
 
@@ -132,46 +114,47 @@ class RunConfig:
 
 
 class _Island:
-    """One node's algorithm loop plus its migration endpoints."""
+    """One node's algorithm loop plus its migration endpoints. `initialize`
+    creates the algorithm's state (`pop` or `state`) and defines
+    `best_fitness`, the best fitness the node has seen."""
 
     immigrant_costs_eval = False
 
-    def __init__(self, node, problem, rng):
+    def __init__(self, node, problem, rng, params: GaParams | SaParams):
         self.node = node
         self.problem = problem
         self.rng = rng
+        self.params = params
         self.out_channels: list[Channel] = []
         self.in_channels: list[Channel] = []
         self.stats = IslandStats()
-        self.best_fitness = -math.inf
 
-    def migrate(self, budget: EvalBudget) -> None:
+    def migrate(self, room: int) -> int:
         """Send `channel.batch` emigrants on every outgoing channel, then
-        drain every incoming one.
+        drain every incoming one; returns the evaluations the immigrants
+        spent (only SA immigrants cost one each), at most `room`.
 
-        Draining halts early if the budget cannot pay for an immigrant
-        move (only SA immigrants cost an evaluation).
+        Draining halts at the first immigrant that `room` cannot pay for:
+        the rest of its channel's messages are dropped and later channels
+        are not polled.
         """
         for channel in self.out_channels:
             for _ in range(channel.batch):
                 channel.send(self.emigrant())
             self.stats.emigrants_sent += channel.batch
         costs = self.immigrant_costs_eval
+        spent = 0
         for channel in self.in_channels:
             for msg in channel.poll():
-                if costs and not budget.try_take(1):
-                    return
+                if costs:
+                    if spent == room:
+                        return spent
+                    spent += 1
                 self._apply_immigrant(msg)
+        return spent
 
 
 class _GaIsland(_Island):
-    immigrant_costs_eval = False
-
-    def __init__(self, node, problem, rng, params: GaParams):
-        super().__init__(node, problem, rng)
-        self.params = params
-        self.pop = None
-
     def initialize(self) -> int:
         self.pop = ga_mod.init_population(self.params, self.problem, self.rng)
         self.best_fitness = self.pop.best_fitness()
@@ -191,7 +174,7 @@ class _GaIsland(_Island):
         return ga_mod.select_emigrant(self.pop, self.rng)
 
     def _apply_immigrant(self, msg: Individual) -> None:
-        ga_mod.immigrate(self.pop, msg)
+        self.pop.replace_worst(msg.genome, msg.fitness)
         self.stats.immigrants_received += 1
         if msg.fitness > self.best_fitness:
             self.best_fitness = msg.fitness
@@ -200,35 +183,28 @@ class _GaIsland(_Island):
 class _SaIsland(_Island):
     immigrant_costs_eval = True
 
-    def __init__(self, node, problem, rng, params: SaParams):
-        super().__init__(node, problem, rng)
-        self.params = params
-        self.state = None
+    @property
+    def best_fitness(self) -> float:
+        return self.state.best.fitness
 
     def initialize(self) -> int:
-        self.state, evals = sa_mod.init_sa_state(self.params, self.problem, self.rng)
-        self.best_fitness = self.state.best.fitness
-        self.stats.evaluations += evals
-        return evals
+        self.state = sa_mod.init_sa_state(self.params, self.problem, self.rng)
+        self.stats.evaluations += self.params.init_evaluations
+        return self.params.init_evaluations
 
     def step(self) -> float:
         sa_mod.sa_step(self.state, self.params, self.problem, self.rng)
         self.stats.evaluations += 1
         self.stats.iterations += 1
-        f = self.state.best.fitness
-        if f > self.best_fitness:
-            self.best_fitness = f
-        return f
+        return self.state.best.fitness
 
     def emigrant(self) -> Individual:
-        return sa_mod.select_emigrant_sa(self.state)
+        return self.state.best.copy()
 
     def _apply_immigrant(self, msg: Individual) -> None:
         sa_mod.inject_immigrant(self.state, msg.genome, self.problem, self.rng)
         self.stats.evaluations += 1
         self.stats.immigrants_received += 1
-        if self.state.best.fitness > self.best_fitness:
-            self.best_fitness = self.state.best.fitness
 
 
 def initialization_cost(topology: TopologySpec, ga: GaParams | None, sa: SaParams | None) -> int:
@@ -277,11 +253,12 @@ def run_experiment(config: RunConfig) -> RunResult:
     or the budget cannot pay for initializing every node."""
     islands = _build_islands(config)
     problem = config.problem
-    budget = EvalBudget(config.evaluation_budget)
+    limit = config.evaluation_budget
+    used = 0
 
     global_best = -math.inf
     for island in islands:
-        budget.force(island.initialize())
+        used += island.initialize()
         if island.best_fitness > global_best:
             global_best = island.best_fitness
         if is_optimum(global_best, problem):
@@ -293,9 +270,9 @@ def run_experiment(config: RunConfig) -> RunResult:
     elapsed_micro = 0
     if not is_optimum(global_best, problem):
         for micro, idx in scheduler:
-            if budget.used >= budget.limit:  # `try_take(1)`, inlined
+            if used >= limit:
                 break
-            budget.used += 1
+            used += 1
             island = islands[idx]
             f = island.step()
             elapsed_micro = micro
@@ -305,7 +282,7 @@ def run_experiment(config: RunConfig) -> RunResult:
                 if is_optimum(global_best, problem):
                     break
             if island.stats.iterations % freq == 0:
-                island.migrate(budget)
+                used += island.migrate(limit - used)
                 # global_best is below the optimum here unless it just rose
                 if island.best_fitness > global_best:
                     global_best = island.best_fitness
@@ -319,9 +296,9 @@ def run_experiment(config: RunConfig) -> RunResult:
         per_island[island.node.id] = island.stats
     return RunResult(
         seed=config.seed,
-        total_evaluations=budget.used,
+        evaluations=used,
         elapsed_ms=scheduler.ticks(elapsed_micro),
-        best_fitness=global_best,
+        best=global_best,
         success=is_optimum(global_best, problem),
         trace=trace,
         per_island=per_island,

@@ -133,8 +133,8 @@ def init_population(params: GaParams, problem, rng) -> Population:
 
 def _tournament_index(pop: Population, size: int, rng) -> int:
     """Index of the fittest of `size` draws with replacement; ties keep the
-    first-drawn. Each draw is `int(u * n)` for one uniform u, the value
-    `BufferedRng.integers(0, n)` returns."""
+    first-drawn. Each draw is `int(u * n)` for one scalar uniform u from
+    `rng.random()`."""
     fit = pop.fit
     n = len(fit)
     best = int(rng.random() * n)
@@ -201,13 +201,6 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     if f >= pop.fit[pop.worst_index()]:
         pop.replace_worst(child, f)
     return f
-
-
-def immigrate(pop: Population, incoming) -> Population:
-    """Unconditionally replace the worst member with the immigrant, an
-    `Individual` or anything else with `genome` and `fitness`."""
-    pop.replace_worst(incoming.genome, incoming.fitness)
-    return pop
 
 
 def select_emigrant(pop: Population, rng) -> Individual:

@@ -9,7 +9,7 @@ virtual-time reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 RECORD_HEADER = "seed,evaluations,elapsed_ms,best,success"
@@ -26,27 +26,9 @@ class IslandStats:
     messages_dropped: int = 0
 
 
-@dataclass
-class RunResult:
-    """Outcome of one optimization run.
-
-    `trace` is an ordered list of (time_ms, best_fitness) pairs, one entry
-    per improvement of the global best; `elapsed_ms` is virtual time in
-    ticks, one tick per iteration of a speed-1.0 node.
-    """
-
-    seed: int
-    total_evaluations: int
-    elapsed_ms: float
-    best_fitness: float
-    success: bool
-    trace: list[tuple[float, float]] = field(default_factory=list)
-    per_island: dict[str, IslandStats] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class RecordRow:
-    """One parsed row of a record file."""
+    """One row of a record file."""
 
     seed: int
     evaluations: int
@@ -55,14 +37,18 @@ class RecordRow:
     success: bool
 
 
-def record_from_result(result: RunResult) -> RecordRow:
-    return RecordRow(
-        seed=result.seed,
-        evaluations=result.total_evaluations,
-        elapsed_ms=result.elapsed_ms,
-        best=result.best_fitness,
-        success=result.success,
-    )
+@dataclass(frozen=True)
+class RunResult(RecordRow):
+    """Outcome of one optimization run: its record row, plus the trace and
+    the per-node counters.
+
+    `trace` is an ordered list of (time_ms, best) pairs, one entry per
+    improvement of the global best; `elapsed_ms` is virtual time in
+    ticks, one tick per iteration of a speed-1.0 node.
+    """
+
+    trace: list[tuple[float, float]]
+    per_island: dict[str, IslandStats]
 
 
 def _format_row(row: RecordRow) -> str:

@@ -113,19 +113,18 @@ def estimate_t0(problem, rng) -> float:
     return max(float(np.std(fits)), 1e-9)
 
 
-def init_sa_state(params: SaParams, problem, rng) -> tuple[SaState, int]:
-    """Fresh state from a random solution; returns (state, evaluations),
-    counting the initial evaluation and any t0 estimation samples."""
+def init_sa_state(params: SaParams, problem, rng) -> SaState:
+    """Fresh state from a random solution; it costs
+    `params.init_evaluations`."""
     genome = random_genome(problem.length, rng)
     tally = problem.tally(genome)
     f = problem.fitness_of(tally)
     t0 = params.t0 if params.t0 is not None else estimate_t0(problem, rng)
     current = Individual(genome, f)
-    state = SaState(current=current, best=current.copy(), tally=tally, t0=t0, temperature=t0)
-    return state, params.init_evaluations
+    return SaState(current=current, best=current.copy(), tally=tally, t0=t0, temperature=t0)
 
 
-def sa_step(state: SaState, params: SaParams, problem, rng) -> tuple[SaState, int]:
+def sa_step(state: SaState, params: SaParams, problem, rng) -> None:
     """One annealing move: draw the flips, score them from the tally (one
     evaluation), accept or reject, update best, cool, advance the step
     counter. An accepted move flips the current genome in place."""
@@ -143,10 +142,9 @@ def sa_step(state: SaState, params: SaParams, problem, rng) -> tuple[SaState, in
             state.best = cur.copy()
     state.step += 1
     state.temperature = update_temperature(state.t0, state.step, params)
-    return state, 1
 
 
-def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> SaState:
+def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> None:
     """Treat an immigrant genome as a proposed move at the current
     temperature (costs one evaluation); it is copied only if accepted. The
     cooling position is untouched."""
@@ -157,9 +155,3 @@ def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> SaState:
         state.tally = tally
         if f > state.best.fitness:
             state.best = state.current.copy()
-    return state
-
-
-def select_emigrant_sa(state: SaState) -> Individual:
-    """Copy of the best-so-far solution; the state is unchanged."""
-    return state.best.copy()

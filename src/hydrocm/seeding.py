@@ -24,12 +24,12 @@ class BufferedRng:
     """An island's RNG: a numpy Generator with block-buffered scalar draws
     and a per-block table of geometric flip gaps.
 
-    Scalar `random()` and `integers(low, high)` calls come out of a
-    pre-drawn block of `block` uniforms, those of `generator.random(block)`,
-    kept as a list of Python floats: indexing a list and doing arithmetic on
-    a Python float is much cheaper than a numpy call, or numpy scalar
-    arithmetic, per draw. Array-shaped requests go straight to the wrapped
-    generator. The consumed stream is a pure function of the seed.
+    Scalar `random()` calls come out of a pre-drawn block of `block`
+    uniforms, those of `generator.random(block)`, kept as a list of Python
+    floats: indexing a list and doing arithmetic on a Python float is much
+    cheaper than a numpy call, or numpy scalar arithmetic, per draw.
+    Array-shaped requests, and every `integers` call, go straight to the
+    wrapped generator. The consumed stream is a pure function of the seed.
     """
 
     __slots__ = ("generator", "_arr", "_buf", "_i", "_block", "_gaps", "_log_q")
@@ -56,9 +56,6 @@ class BufferedRng:
         return self.generator.random(size)
 
     def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        if size is None and high is not None and not endpoint:
-            # floor(u * span): bias is O(span / 2**53), irrelevant here
-            return low + int(self.random() * (high - low))
         return self.generator.integers(low, high, size=size, dtype=dtype, endpoint=endpoint)
 
     def gap_positions(self, length: int, log_q: float) -> list[int]:

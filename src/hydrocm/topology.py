@@ -47,6 +47,8 @@ class NodeSpec:
     speed_factor: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"node 'id' must be a string, got {self.id!r}")
         if self.atom not in VALENCE:
             raise ValueError(f"unknown atom {self.atom!r}")
         if self.algorithm not in ALGORITHMS:
@@ -70,6 +72,9 @@ class BondSpec:
     multiplicity: int = 1
 
     def __post_init__(self):
+        for key, value in (("a", self.a), ("b", self.b)):
+            if not isinstance(value, str):
+                raise ValueError(f"bond endpoint {key!r} must be a string, got {value!r}")
         if self.a == self.b:
             raise ValueError(f"bond endpoints must differ, got {self.a!r} twice")
         m = self.multiplicity
@@ -275,7 +280,7 @@ def topology_from_dict(data: dict) -> TopologySpec:
         _check_keys(n, ("id", "atom", "algorithm", "speed_factor"), ("id",), "node")
         nodes.append(
             NodeSpec(
-                id=str(n["id"]),
+                id=n["id"],
                 atom=n.get("atom", CARBON),
                 algorithm=n.get("algorithm", SSGA),
                 speed_factor=n.get("speed_factor", 1.0),
@@ -284,7 +289,7 @@ def topology_from_dict(data: dict) -> TopologySpec:
     bonds = []
     for b in data["bonds"]:
         _check_keys(b, ("a", "b", "multiplicity"), ("a", "b"), "bond")
-        bonds.append(BondSpec(a=str(b["a"]), b=str(b["b"]), multiplicity=b.get("multiplicity", 1)))
+        bonds.append(BondSpec(a=b["a"], b=b["b"], multiplicity=b.get("multiplicity", 1)))
     return TopologySpec(nodes, bonds, data.get("kind", KIND_HYDROCARBON))
 
 

@@ -45,4 +45,4 @@ def _runner(cell: str):
 def effort(cell: str) -> tuple[tuple[int, bool], ...]:
     """(evaluations, success) for each seed in SEEDS, in seed order."""
     run = _runner(cell)
-    return tuple((r.total_evaluations, r.success) for r in map(run, SEEDS))
+    return tuple((r.evaluations, r.success) for r in map(run, SEEDS))

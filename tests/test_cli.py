@@ -603,6 +603,19 @@ class TestValidateTopology:
         assert main(["validate-topology", str(path)]) == 2
         assert f"missing '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, [1, 2], 0, True, {"x": 1}], ids=["null", "list", "int", "bool", "mapping"])
+    @pytest.mark.parametrize("where, key", [("node", "id"), ("bond", "a"), ("bond", "b")])
+    def test_non_string_id_is_input_error(self, tmp_path, capsys, where, key, value):
+        doc = topology_to_dict(ethane_topology("G"))
+        {"node": doc["nodes"][2], "bond": doc["bonds"][1]}[where][key] = value
+        path = tmp_path / "bad.topology"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["validate-topology", str(path)]) == 2
+        assert f"{key!r} must be a string" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'setup.topology'" in capsys.readouterr().err
+
     def test_duplicate_key_is_input_error(self, tmp_path, capsys):
         text = (REPO_ROOT / "topologies" / "ethane_g.topology").read_text()
         path = tmp_path / "dup.topology"

@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hydrocm import engine
 from hydrocm.engine import (
     Channel,
-    EvalBudget,
     RunConfig,
     VirtualScheduler,
     initialization_cost,
@@ -65,20 +65,6 @@ class TestChannel:
         assert ch.poll() == []
 
 
-class TestEvalBudget:
-    def test_try_take_respects_limit(self):
-        budget = EvalBudget(3)
-        assert budget.try_take(1) and budget.try_take(1) and budget.try_take(1)
-        assert not budget.try_take(1)
-        assert budget.used == 3
-
-    def test_force_may_overshoot(self):
-        budget = EvalBudget(2)
-        budget.force(5)
-        assert budget.used == 5
-        assert not budget.try_take(1)
-
-
 class TestVirtualScheduler:
     def test_half_speed_node_runs_half_as_often(self):
         sched = VirtualScheduler([1.0, 0.5])
@@ -134,13 +120,50 @@ class TestInitializationCost:
         res = run_experiment(
             RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost, seed=3)
         )
-        assert res.total_evaluations == cost
+        assert res.evaluations == cost
         assert res.elapsed_ms == 0.0
         assert all(s.iterations == 0 for s in res.per_island.values())
         with pytest.raises(ValueError, match="initializing"):
             run_experiment(
                 RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost - 1, seed=3)
             )
+
+
+class TestExactBudget:
+    """An unsolved run spends its budget to the last evaluation, SA
+    immigrant moves included: a drain stops where the budget does."""
+
+    @pytest.mark.parametrize("freq", [1, 3])
+    @pytest.mark.parametrize("setup", ["G", "S"])
+    def test_unsolved_run_spends_exactly_its_budget(self, setup, freq, monkeypatch):
+        drains = []  # (room, spent) of every migration
+        migrate = engine._Island.migrate
+
+        def recorded(island, room):
+            spent = migrate(island, room)
+            drains.append((room, spent))
+            return spent
+
+        monkeypatch.setattr(engine._Island, "migrate", recorded)
+        unsolved = 0
+        for budget in range(1_000, 1_401, 20):
+            res = run_experiment(
+                RunConfig(
+                    topology=ethane_topology(setup),
+                    problem=MmdpInstance(k=8),
+                    evaluation_budget=budget,
+                    seed=budget,
+                    migration_frequency=freq,
+                )
+            )
+            assert res.evaluations <= budget
+            assert res.evaluations == sum(s.evaluations for s in res.per_island.values())
+            if not res.success:
+                unsolved += 1
+                assert res.evaluations == budget
+        assert unsolved > 0
+        # some drain stopped at the budget, so the limit path ran
+        assert any(0 < spent == room for room, spent in drains)
 
 
 class TestRunExperiment:
@@ -175,8 +198,8 @@ class TestRunExperiment:
             RunConfig(topology=ethane_topology("G"), problem=prob, evaluation_budget=2_000, seed=1)
         )
         assert not res.success
-        assert res.total_evaluations <= 2_000
-        assert res.best_fitness < prob.optimum
+        assert res.evaluations <= 2_000
+        assert res.best < prob.optimum
 
     def test_counter_conservation(self):
         res = run_experiment(
@@ -187,7 +210,7 @@ class TestRunExperiment:
                 seed=2,
             )
         )
-        assert res.total_evaluations == sum(s.evaluations for s in res.per_island.values())
+        assert res.evaluations == sum(s.evaluations for s in res.per_island.values())
 
     def test_all_islands_advance(self):
         res = run_experiment(
@@ -225,8 +248,8 @@ class TestRunExperiment:
         fits = [f for _, f in res.trace]
         assert times == sorted(times)
         assert fits == sorted(fits)
-        assert res.best_fitness == fits[-1]
-        assert res.success == is_optimum(res.best_fitness, MmdpInstance(k=4))
+        assert res.best == fits[-1]
+        assert res.success == is_optimum(res.best, MmdpInstance(k=4))
 
     def test_success_stops_all_islands(self):
         res = run_experiment(
@@ -238,7 +261,7 @@ class TestRunExperiment:
             )
         )
         assert res.success
-        assert res.total_evaluations < 1_000_000
+        assert res.evaluations < 1_000_000
 
     def test_invalid_topology_rejected(self):
         bad = TopologySpec(
@@ -267,7 +290,7 @@ class TestRunExperiment:
                 seed=10,
             )
         )
-        assert res.total_evaluations == 64
+        assert res.evaluations == 64
         assert res.elapsed_ms == 0.0
 
     def test_speed_factors_shape_iteration_counts(self):

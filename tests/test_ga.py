@@ -9,12 +9,10 @@ from scipy import stats as scipy_stats
 
 from hydrocm.ga import (
     GaParams,
-    Individual,
     Population,
     _offspring_step,
     _tournament_index,
     flip_positions,
-    immigrate,
     init_population,
     mutate,
     one_point_crossover,
@@ -368,34 +366,34 @@ class TestWorstIndexCache:
             if op is None:
                 _offspring_step(pop, params, prob, rng)
             else:
-                immigrate(pop, Individual(np.zeros(prob.length, dtype=np.uint8), op))
+                pop.replace_worst(np.zeros(prob.length, dtype=np.uint8), op)
             assert pop.worst_index() == int(np.argmin(pop.fitness))
 
 
 class TestImmigrate:
     def test_worse_immigrant_becomes_new_worst(self):
         pop = make_population([2.0, 3.0, 4.0])
-        immigrate(pop, Individual(np.zeros(8, dtype=np.uint8), 1.0))
+        pop.replace_worst(np.zeros(8, dtype=np.uint8), 1.0)
         assert pop.best_fitness() == 4.0
         assert pop.fitness.min() == 1.0
 
     def test_better_immigrant_becomes_best(self):
         pop = make_population([2.0, 3.0, 4.0])
-        immigrate(pop, Individual(np.ones(8, dtype=np.uint8), 9.0))
+        pop.replace_worst(np.ones(8, dtype=np.uint8), 9.0)
         assert pop.best_fitness() == 9.0
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=2, max_size=32), st.floats(0, 100))
     def test_size_conserved(self, fits, incoming_fitness):
         pop = make_population(fits)
         size = pop.size
-        immigrate(pop, Individual(np.zeros(8, dtype=np.uint8), incoming_fitness))
+        pop.replace_worst(np.zeros(8, dtype=np.uint8), incoming_fitness)
         assert pop.size == size
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=2, max_size=32), st.floats(0, 100))
     def test_best_never_decreases(self, fits, incoming_fitness):
         pop = make_population(fits)
         before = pop.best_fitness()
-        immigrate(pop, Individual(np.zeros(8, dtype=np.uint8), incoming_fitness))
+        pop.replace_worst(np.zeros(8, dtype=np.uint8), incoming_fitness)
         assert pop.best_fitness() >= before
 
 
@@ -437,7 +435,8 @@ class TestPopulationMirror:
         for step in range(600):
             op = step % 5
             if op == 3:
-                immigrate(pop, select_emigrant(donor, rng))
+                migrant = select_emigrant(donor, rng)
+                pop.replace_worst(migrant.genome, migrant.fitness)
             elif op == 4:
                 genomes, fitness = pop.genomes.copy(), pop.fitness.copy()
                 emigrant = select_emigrant(pop, rng)
@@ -459,7 +458,7 @@ class TestPopulationMirror:
 class TestRunPanmicticSsga:
     def test_budget_equal_to_pop_size_stops_after_init(self):
         res = panmictic("ssga", MmdpInstance(k=2), budget=64, seed=1)
-        assert res.total_evaluations == 64
+        assert res.evaluations == 64
         assert res.elapsed_ms == 0.0
         assert len(res.trace) == 1
 

@@ -1,16 +1,24 @@
 import re
+from dataclasses import fields
 
 import pytest
 
 from hydrocm.records import (
     RECORD_HEADER,
     RecordRow,
+    RunResult,
     read_records,
     write_records,
     write_trace,
 )
 
 from conftest import read_trace
+
+
+def test_record_layout_stated_once():
+    names = [f.name for f in fields(RecordRow)]
+    assert RECORD_HEADER.split(",") == names
+    assert [f.name for f in fields(RunResult)][: len(names)] == names
 
 
 def test_record_round_trip(tmp_path):

@@ -14,7 +14,6 @@ from hydrocm.sa import (
     inject_immigrant,
     perturb,
     sa_step,
-    select_emigrant_sa,
     update_temperature,
 )
 
@@ -24,8 +23,7 @@ from conftest import ConstantProblem, node_rng, panmictic
 def fresh_state(problem, seed=1, **params_kw):
     params = SaParams(**params_kw).resolved_for(problem.length)
     rng = node_rng(seed)
-    state, evals = init_sa_state(params, problem, rng)
-    return state, params, rng, evals
+    return init_sa_state(params, problem, rng), params, rng
 
 
 class TestSaParams:
@@ -119,7 +117,7 @@ class TestUpdateTemperature:
 class TestSaStep:
     def test_flat_landscape_all_moves_accepted(self):
         prob = ConstantProblem(length=8)
-        state, params, rng, _ = fresh_state(prob)
+        state, params, rng = fresh_state(prob)
         f0 = state.current.fitness
         for k in range(1, 20):
             sa_step(state, params, prob, rng)
@@ -129,7 +127,7 @@ class TestSaStep:
 
     def test_best_never_decreases(self):
         prob = MmdpInstance(k=2)
-        state, params, rng, _ = fresh_state(prob, seed=3)
+        state, params, rng = fresh_state(prob, seed=3)
         best = state.best.fitness
         for _ in range(1_000):
             sa_step(state, params, prob, rng)
@@ -138,15 +136,14 @@ class TestSaStep:
 
     def test_exactly_one_evaluation(self, counting):
         prob = counting(MmdpInstance(k=1))
-        state, params, rng, _ = fresh_state(prob, seed=4)
+        state, params, rng = fresh_state(prob, seed=4)
         prob.count = 0
-        _, evals = sa_step(state, params, prob, rng)
-        assert evals == 1
+        sa_step(state, params, prob, rng)
         assert prob.count == 1
 
     def test_temperature_follows_schedule(self):
         prob = MmdpInstance(k=1)
-        state, params, rng, _ = fresh_state(prob, seed=5, schedule_rate=1.0)
+        state, params, rng = fresh_state(prob, seed=5, schedule_rate=1.0)
         t0 = state.t0
         sa_step(state, params, prob, rng)
         assert state.temperature == t0 / 2.0
@@ -173,7 +170,7 @@ class TestInPlaceMoves:
 
         monkeypatch.setattr(sa_mod, "perturb", perturb_spy)
         monkeypatch.setattr(sa_mod, "accept", accept_spy)
-        state, params, rng, _ = fresh_state(problem, seed=14)
+        state, params, rng = fresh_state(problem, seed=14)
         immigrant_rng = np.random.default_rng(15)
         rejected = 0
         for step in range(10_000):
@@ -196,14 +193,14 @@ class TestInPlaceMoves:
             assert state.current.fitness == problem.evaluate(genome)
             assert np.array_equal(state.tally, problem.tally(genome))
             assert not np.shares_memory(state.best.genome, genome)
-            assert not np.shares_memory(select_emigrant_sa(state).genome, genome)
+            assert not np.shares_memory(state.best.copy().genome, genome)
         assert rejected > 1_000
 
 
 class TestInjectImmigrant:
     def test_fitter_immigrant_adopted(self):
         prob = MmdpInstance(k=1)
-        state, params, rng, _ = fresh_state(prob, seed=6)
+        state, params, rng = fresh_state(prob, seed=6)
         optimum = np.ones(6, dtype=np.uint8)
         inject_immigrant(state, optimum, prob, rng)
         assert state.current.fitness == 1.0
@@ -241,7 +238,7 @@ class TestInjectImmigrant:
 
     def test_identical_immigrant_accepted_without_change(self):
         prob = MmdpInstance(k=1)
-        state, params, rng, _ = fresh_state(prob, seed=8)
+        state, params, rng = fresh_state(prob, seed=8)
         before = state.current.fitness
         inject_immigrant(state, state.current.genome.copy(), prob, rng)
         assert state.current.fitness == before
@@ -249,14 +246,14 @@ class TestInjectImmigrant:
 
     def test_counts_one_evaluation(self, counting):
         prob = counting(MmdpInstance(k=1))
-        state, params, rng, _ = fresh_state(prob, seed=9)
+        state, params, rng = fresh_state(prob, seed=9)
         prob.count = 0
         inject_immigrant(state, np.zeros(6, dtype=np.uint8), prob, rng)
         assert prob.count == 1
 
     def test_rejects_length_mismatch(self):
         prob = MmdpInstance(k=1)
-        state, params, rng, _ = fresh_state(prob, seed=10)
+        state, params, rng = fresh_state(prob, seed=10)
         with pytest.raises(ValueError):
             inject_immigrant(state, np.zeros(5, dtype=np.uint8), prob, rng)
 
@@ -265,23 +262,23 @@ class TestSelectEmigrantSa:
     def test_fresh_state_returns_current(self):
         prob = MmdpInstance(k=1)
         state, *_ = fresh_state(prob, seed=11)
-        emigrant = select_emigrant_sa(state)
+        emigrant = state.best.copy()
         assert emigrant.fitness == state.current.fitness
         assert np.array_equal(emigrant.genome, state.current.genome)
 
     def test_returns_best_after_improvement(self):
         prob = MmdpInstance(k=1)
-        state, params, rng, _ = fresh_state(prob, seed=12)
+        state, params, rng = fresh_state(prob, seed=12)
         for _ in range(200):
             sa_step(state, params, prob, rng)
-        emigrant = select_emigrant_sa(state)
+        emigrant = state.best.copy()
         assert emigrant.fitness == state.best.fitness
 
     def test_state_unmodified(self):
         prob = MmdpInstance(k=1)
         state, *_ = fresh_state(prob, seed=13)
         genome_before = state.best.genome.copy()
-        select_emigrant_sa(state).genome[:] = 1
+        state.best.copy().genome[:] = 1
         assert np.array_equal(state.best.genome, genome_before)
 
 
@@ -305,8 +302,8 @@ class TestRunPanmicticSa:
         prob = MmdpInstance(k=4)
         res = panmictic("sa", prob, budget=105, seed=0)
         assert not res.success
-        assert res.best_fitness < prob.optimum
-        assert res.total_evaluations <= 105
+        assert res.best < prob.optimum
+        assert res.evaluations <= 105
 
     def test_deterministic(self):
         a = panmictic("sa", MmdpInstance(k=2), budget=5_000, seed=21)
@@ -316,4 +313,4 @@ class TestRunPanmicticSa:
     def test_counts_t0_estimation_evaluations(self, counting):
         prob = counting(MmdpInstance(k=4))
         res = panmictic("sa", prob, budget=500, seed=2)
-        assert res.total_evaluations == prob.count
+        assert res.evaluations == prob.count
