@@ -74,7 +74,6 @@ CONFIG_KEYS = (
 
 class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
-        self.fieldname = fieldname
         super().__init__(f"config field '{fieldname}': {message}")
 
 
@@ -103,19 +102,16 @@ def _reject_unknown_keys(data: dict, allowed, prefix: str = "") -> None:
 
 
 def _as_int(value, fieldname: str, minimum=None) -> int:
-    """`value` as an int. An integral float such as 2.0 passes; 2.7, a
-    bool or a non-numeric string is a ConfigError, never truncated."""
+    """`value` as an int. A YAML integer or an integral float such as 2.0
+    passes; 2.7, a bool or a string (even "5000") is a ConfigError, never
+    truncated or parsed."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    try:
-        if isinstance(value, (bool, float)):
-            raise TypeError
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(fieldname, f"expected an integer, got {value!r}") from None
-    if minimum is not None and out < minimum:
-        raise ConfigError(fieldname, f"must be >= {minimum}, got {out}")
-    return out
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(fieldname, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(fieldname, f"must be >= {minimum}, got {value}")
+    return value
 
 
 def _build_problem(data):
@@ -277,9 +273,8 @@ def cmd_run(args) -> int:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    summary = summarize_experiment(rows, algorithm=cfg.setup, problem=cfg.problem_label)
     print(",".join(["algorithm", "problem", *SUMMARY_COLUMNS]))
-    print(",".join([summary.algorithm, summary.problem, *summary_cells(summary)]))
+    print(",".join([cfg.setup, cfg.problem_label, *summary_cells(summarize_experiment(rows))]))
     return EXIT_OK
 
 
@@ -321,7 +316,7 @@ def cmd_report(args) -> int:
 
     lines = [",".join(header)]
     for label, rows in groups:
-        cells = [label, *summary_cells(summarize_experiment(rows, algorithm=label))]
+        cells = [label, *summary_cells(summarize_experiment(rows))]
         mine = [r.elapsed_ms for r in rows if r.success]
         if sequential is not None:
             try:

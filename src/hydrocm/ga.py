@@ -71,64 +71,61 @@ class GaParams:
 
 
 class Population:
-    """Fixed-size population backed by flat arrays. Owned by exactly one
-    island.
+    """Fixed-size population owned by one island: `rows`, one uint8 genome
+    per member, each owning its memory and never changed in place, and
+    `fit`, their fitness values as Python floats. The index of the worst
+    member is cached; `replace_worst`, the only write, keeps it the first
+    minimum of `fit`, the index `np.argmin` gives."""
 
-    `fit` mirrors `fitness` as a list of Python floats and `rows` holds a
-    view of each row of `genomes`, so the per-step reads (tournaments, the
-    replace test, emigrants) skip numpy scalars and fresh views.
+    __slots__ = ("rows", "fit", "_worst")
 
-    The index of the worst member is cached. Every write goes through
-    `replace_worst`, which keeps the mirror equal to the array and the
-    cache equal to `np.argmin` (first minimum on ties) of the fitness
-    array."""
-
-    __slots__ = ("genomes", "fitness", "fit", "rows", "_worst")
-
-    def __init__(self, genomes: np.ndarray, fitness: np.ndarray):
-        if genomes.shape[0] != fitness.shape[0]:
+    def __init__(self, genomes, fitness):
+        if len(genomes) != len(fitness):
             raise ValueError("genomes and fitness must have equal leading size")
-        self.genomes = genomes
-        self.fitness = fitness
-        self.fit: list[float] = fitness.tolist()
-        self.rows: list[Genome] = list(genomes)
+        self.rows: list[Genome] = [g.copy() for g in genomes]
+        self.fit: list[float] = [float(f) for f in fitness]
         self._worst: int | None = None
 
     @property
     def size(self) -> int:
         return len(self.fit)
 
+    @property
+    def fitness(self) -> np.ndarray:
+        """`fit` as a new array. It exists only for the benchmark tracer's
+        offspring probe, `pop.fitness.min()` in perfbench/tracer.py, which
+        only a benchmark revision may change to `min(pop.fit)`."""
+        return np.array(self.fit)
+
     def worst_index(self) -> int:
         w = self._worst
         if w is None:
-            w = self._worst = int(np.argmin(self.fitness))
+            fit = self.fit
+            w = self._worst = fit.index(min(fit))
         return w
 
     def replace_worst(self, genome: Genome, fitness: float) -> None:
-        """Overwrite the worst member. The cached index stays valid when
-        the new fitness is not above the old worst: that slot is still the
-        first minimum."""
+        """Put `genome` in place of the worst member. The population takes
+        the genome itself, which the caller must not touch afterwards. The
+        cached index stays valid when the new fitness is not above the old
+        worst: that slot is still the first minimum."""
         w = self.worst_index()
         fit = self.fit
         old = fit[w]
-        self.genomes[w] = genome
-        self.fitness[w] = fit[w] = fitness
+        self.rows[w] = genome
+        fit[w] = fitness
         if fitness > old:
             self._worst = None
 
     def best_fitness(self) -> float:
-        return float(self.fitness.max())
-
-    def member(self, i: int) -> Individual:
-        return Individual(self.rows[i].copy(), self.fit[i])
+        return max(self.fit)
 
 
 def init_population(params: GaParams, problem, rng) -> Population:
     """Uniformly random population with valid fitness caches
     (costs pop_size evaluations)."""
     genomes = rng.integers(0, 2, size=(params.pop_size, problem.length), dtype=np.uint8)
-    fitness = np.array([problem.evaluate(g) for g in genomes], dtype=np.float64)
-    return Population(genomes, fitness)
+    return Population(genomes, [problem.evaluate(g) for g in genomes])
 
 
 def _tournament_index(pop: Population, size: int, rng) -> int:
@@ -206,7 +203,9 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
 def select_emigrant(pop: Population, rng) -> Individual:
     """Uniformly random member, copied (the population is unchanged); the
     index is drawn as in `_tournament_index`."""
-    n = len(pop.fit)
+    fit = pop.fit
+    n = len(fit)
     if n == 0:
         raise ValueError("population is empty")
-    return pop.member(int(rng.random() * n))
+    i = int(rng.random() * n)
+    return Individual(pop.rows[i].copy(), fit[i])

@@ -9,10 +9,12 @@ virtual-time reruns are byte-identical.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 RECORD_HEADER = "seed,evaluations,elapsed_ms,best,success"
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass(slots=True)
@@ -79,9 +81,9 @@ def _at_least(name: str, value, minimum):
 
 def read_records(path) -> list[RecordRow]:
     """Parse a record file; raises ValueError naming the file, and the
-    offending line. `success` must be 0 or 1, `seed` at least 0,
-    `evaluations` at least 1, `elapsed_ms` finite and at least 0 (a run
-    can solve at initialization), and `best` finite."""
+    offending line. `success` must be 0 or 1, `seed` and `evaluations`
+    decimal integers at least 0 and 1, `elapsed_ms` finite and at least 0
+    (a run can solve at initialization), and `best` finite."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -95,6 +97,9 @@ def read_records(path) -> list[RecordRow]:
         if len(parts) != 5:
             raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(parts)}")
         try:
+            for name, cell in zip(("seed", "evaluations"), parts):
+                if not _DECIMAL.fullmatch(cell):
+                    raise ValueError(f"{name} must be a decimal integer, got {cell!r}")
             if parts[4] not in ("0", "1"):
                 raise ValueError(f"success must be 0 or 1, got {parts[4]!r}")
             rows.append(

@@ -24,12 +24,13 @@ class BufferedRng:
     """An island's RNG: a numpy Generator with block-buffered scalar draws
     and a per-block table of geometric flip gaps.
 
-    Scalar `random()` calls come out of a pre-drawn block of `block`
+    `random()` draws one scalar uniform from a pre-drawn block of `block`
     uniforms, those of `generator.random(block)`, kept as a list of Python
     floats: indexing a list and doing arithmetic on a Python float is much
-    cheaper than a numpy call, or numpy scalar arithmetic, per draw.
-    Array-shaped requests, and every `integers` call, go straight to the
-    wrapped generator. The consumed stream is a pure function of the seed.
+    cheaper than a numpy call, or numpy scalar arithmetic, per draw. Every
+    `integers` call goes straight to the wrapped generator, as does any
+    array draw, made on `generator` itself. The consumed stream is a pure
+    function of the seed.
     """
 
     __slots__ = ("generator", "_arr", "_buf", "_i", "_block", "_gaps", "_log_q")
@@ -45,15 +46,13 @@ class BufferedRng:
         self._i = 0
         self._log_q = None  # the gap table belongs to the old block
 
-    def random(self, size=None):
-        if size is None:
-            i = self._i
-            if i >= self._block:
-                self._refill()
-                i = 0
-            self._i = i + 1
-            return self._buf[i]
-        return self.generator.random(size)
+    def random(self) -> float:
+        i = self._i
+        if i >= self._block:
+            self._refill()
+            i = 0
+        self._i = i + 1
+        return self._buf[i]
 
     def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
         return self.generator.integers(low, high, size=size, dtype=dtype, endpoint=endpoint)

@@ -126,8 +126,6 @@ class SummaryRow:
     deviations over successful runs only, with the success rate alongside.
     Aggregates are None when no run succeeded (rendered as '*')."""
 
-    algorithm: str
-    problem: str
     runs: int
     successes: int
     success_rate: float
@@ -150,7 +148,7 @@ def summary_cells(row: SummaryRow) -> list[str]:
     ]
 
 
-def summarize_experiment(runs: list[RecordRow], algorithm: str = "", problem: str = "") -> SummaryRow:
+def summarize_experiment(runs: list[RecordRow]) -> SummaryRow:
     """Aggregate one experiment's record rows; failed runs are excluded
     from the to-optimum statistics and surface only via success_rate."""
     if not runs:
@@ -161,8 +159,6 @@ def summarize_experiment(runs: list[RecordRow], algorithm: str = "", problem: st
         eval_mean, eval_std = mean_std([r.evaluations for r in solved])
         time_mean, time_std = mean_std([r.elapsed_ms for r in solved])
     return SummaryRow(
-        algorithm=algorithm,
-        problem=problem,
         runs=len(runs),
         successes=len(solved),
         success_rate=len(solved) / len(runs),

@@ -155,7 +155,7 @@ def test_criterion_7_invariant_suite(capsys):
     sizes_ok = True
     for step in range(2_000):
         if step % 37 == 0:
-            genome = (rng.random(prob.length) < 0.5).astype(np.uint8)
+            genome = (rng.generator.random(prob.length) < 0.5).astype(np.uint8)
             pop.replace_worst(genome, prob.evaluate(genome))
         else:
             _offspring_step(pop, params, prob, rng)
@@ -172,7 +172,7 @@ def test_criterion_7_invariant_suite(capsys):
     monotone = True
     for step in range(2_000):
         if step % 37 == 0:
-            genome = (rng.random(prob.length) < 0.5).astype(np.uint8)
+            genome = (rng.generator.random(prob.length) < 0.5).astype(np.uint8)
             inject_immigrant(state, genome, prob, rng)
         else:
             sa_step(state, sa_params, prob, rng)

@@ -152,9 +152,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"duplicate key '{key}'" in err and f"line {line}," in err
 
-    @pytest.mark.parametrize("field", ["migration_count", "budget", "repetitions"])
-    def test_non_integral_number_is_config_error(self, tmp_path, capsys, field):
-        cfg = write_config(tmp_path / "exp.yaml", **{field: 2.7})
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *(pytest.param(f, 2.7, id=f) for f in ("migration_count", "budget", "repetitions")),
+            # the string of a value test_integral_number_accepted runs with
+            *(
+                pytest.param(f, "1000" if f == "budget" else "2", id=f"{f}-string")
+                for f in ("migration_count", "budget", "repetitions")
+            ),
+        ],
+    )
+    def test_non_integral_number_is_config_error(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "exp.yaml", **{field: value})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
 
@@ -185,8 +195,8 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "positions, code",
-        [("03", 2), (3, 2), ([1.5], 2), ([True], 2), ([0, 3], 0)],
-        ids=["string", "scalar", "float", "bool", "list"],
+        [("03", 2), (3, 2), ([1.5], 2), ([True], 2), (["03"], 2), ([0, 3], 0)],
+        ids=["string", "scalar", "float", "bool", "string-item", "list"],
     )
     def test_fast_positions_must_be_integer_list(self, tmp_path, capsys, positions, code):
         setup = {"kind": "ring", "n": 4, "fast_positions": positions}

@@ -48,7 +48,7 @@ class TestInitPopulation:
         prob = MmdpInstance(k=2)
         a = init_population(GaParams(), prob, node_rng(5))
         b = init_population(GaParams(), prob, node_rng(5))
-        assert np.array_equal(a.genomes, b.genomes)
+        assert np.array_equal(np.stack(a.rows), np.stack(b.rows))
         assert np.array_equal(a.fitness, b.fitness)
 
     def test_counts_pop_size_evaluations(self, counting):
@@ -59,22 +59,22 @@ class TestInitPopulation:
     def test_bit_marginals_near_half(self):
         prob = generate_ssp_instance(32, seed=1)
         pop = init_population(GaParams(pop_size=10_000), prob, node_rng(2))
-        marginals = pop.genomes.mean(axis=0)
+        marginals = np.stack(pop.rows).mean(axis=0)
         assert np.all(np.abs(marginals - 0.5) < 0.02)
 
     def test_fitness_caches_valid(self):
         prob = MmdpInstance(k=2)
         pop = init_population(GaParams(pop_size=16), prob, node_rng(3))
         for i in range(pop.size):
-            assert pop.fitness[i] == prob.evaluate(pop.genomes[i])
+            assert pop.fit[i] == prob.evaluate(pop.rows[i])
 
 
 class TestTournamentSelect:
     def test_uniform_population_returns_that_individual(self, rng):
         pop = Population(np.ones((4, 6), dtype=np.uint8), np.full(4, 2.5))
-        ind = pop.member(_tournament_index(pop, 2, rng))
-        assert np.array_equal(ind.genome, np.ones(6, dtype=np.uint8))
-        assert ind.fitness == 2.5
+        i = _tournament_index(pop, 2, rng)
+        assert np.array_equal(pop.rows[i], np.ones(6, dtype=np.uint8))
+        assert pop.fit[i] == 2.5
 
     def test_tournament_holding_best_returns_best(self, rng):
         # 30 draws from 3 members virtually guarantee the best is drawn
@@ -110,8 +110,8 @@ class TestOnePointCrossover:
         rng = node_rng(21)
         length = 24
         for _ in range(10_000):
-            a = (rng.random(length) < 0.5).astype(np.uint8)
-            b = (rng.random(length) < 0.5).astype(np.uint8)
+            a = (rng.generator.random(length) < 0.5).astype(np.uint8)
+            b = (rng.generator.random(length) < 0.5).astype(np.uint8)
             child = one_point_crossover(a, b, 0.8, rng)
             prefix_ok = np.concatenate(([True], np.cumprod(child == a).astype(bool)))
             suffix_ok = np.concatenate(
@@ -294,10 +294,10 @@ class TestSsgaStep:
         pop = init_population(params, prob, rng)
         saw_rejection = False
         for _ in range(200):
-            before_g = pop.genomes.copy()
+            before_g = np.stack(pop.rows)
             before_f = pop.fitness.copy()
             _offspring_step(pop, params, prob, rng)
-            if np.array_equal(pop.genomes, before_g):
+            if np.array_equal(np.stack(pop.rows), before_g):
                 # either rejected outright or an identical splice landed
                 assert np.array_equal(pop.fitness, before_f)
                 saw_rejection = True
@@ -405,9 +405,9 @@ class TestSelectEmigrant:
 
     def test_population_untouched(self, rng):
         pop = make_population([1.0, 2.0, 3.0])
-        genomes = pop.genomes.copy()
+        genomes = np.stack(pop.rows)
         select_emigrant(pop, rng).genome[:] = 9  # mutate the copy only
-        assert np.array_equal(pop.genomes, genomes)
+        assert np.array_equal(np.stack(pop.rows), genomes)
 
     def test_uniform_distribution(self):
         pop = make_population(list(range(64)))
@@ -420,14 +420,15 @@ class TestSelectEmigrant:
         assert scipy_stats.chisquare(counts).pvalue > 0.01
 
 
-class TestPopulationMirror:
-    """`fit` and `rows`, the list mirrors the hot path reads, stay equal to
-    the arrays through every kind of write and read."""
+class TestPopulation:
+    """`rows` and `fit` hold each member once: owned uint8 rows and Python
+    floats, with the worst-index cache on the first minimum, through every
+    kind of write and read."""
 
     @pytest.mark.parametrize(
         "problem", [MmdpInstance(k=3), generate_ssp_instance(40, seed=2)], ids=["mmdp", "ssp"]
     )
-    def test_mirror_matches_arrays_after_mixed_calls(self, problem):
+    def test_invariants_after_mixed_calls(self, problem):
         params = GaParams(pop_size=12).resolved_for(problem.length)
         rng = node_rng(71)
         pop = init_population(params, problem, rng)
@@ -438,21 +439,21 @@ class TestPopulationMirror:
                 migrant = select_emigrant(donor, rng)
                 pop.replace_worst(migrant.genome, migrant.fitness)
             elif op == 4:
-                genomes, fitness = pop.genomes.copy(), pop.fitness.copy()
+                genomes, fit = np.stack(pop.rows), list(pop.fit)
                 emigrant = select_emigrant(pop, rng)
                 emigrant.genome ^= 1
                 emigrant.fitness = -1.0
-                assert np.array_equal(pop.genomes, genomes)
-                assert np.array_equal(pop.fitness, fitness)
+                assert np.array_equal(np.stack(pop.rows), genomes)
+                assert pop.fit == fit
             else:
                 _offspring_step(pop, params, problem, rng)
-            assert pop.fit == pop.fitness.tolist()
+            assert pop.worst_index() == pop.fit.index(min(pop.fit))
             assert all(type(f) is float for f in pop.fit)
             assert len(pop.rows) == pop.size
+            for row in pop.rows:
+                assert type(row) is np.ndarray and row.dtype == np.uint8 and row.shape == (problem.length,)
             for i, row in enumerate(pop.rows):
-                assert row.base is pop.genomes and np.shares_memory(row, pop.genomes[i])
-            assert np.array_equal(np.stack(pop.rows), pop.genomes)
-            assert pop.worst_index() == int(np.argmin(pop.fitness))
+                assert not any(np.shares_memory(row, other) for other in pop.rows[i + 1 :])
 
 
 class TestRunPanmicticSsga:

@@ -65,6 +65,8 @@ def test_non_numeric_row_names_line(tmp_path):
         ("1,2,3.0,4.0,true", "success must be 0 or 1, got 'true'"),
         ("1,2,nan,4.0,1", "elapsed_ms must be finite, got 'nan'"),
         ("1,2,3.0,-inf,0", "best must be finite, got '-inf'"),
+        ("1_0,2,3.0,4.0,1", "seed must be a decimal integer, got '1_0'"),
+        ("1, 5 ,3.0,4.0,1", "evaluations must be a decimal integer, got ' 5 '"),
     ],
 )
 def test_bad_cell_names_line(tmp_path, row, message):

@@ -208,7 +208,7 @@ class TestSummarizeExperiment:
         return rows
 
     def test_all_successful(self):
-        summary = summarize_experiment(self.rows(100, 0), algorithm="x", problem="y")
+        summary = summarize_experiment(self.rows(100, 0))
         assert summary.success_rate == 1.0
         assert summary.runs == 100
         assert summary.eval_mean == pytest.approx(1000 + 49.5)
