@@ -17,7 +17,7 @@ import yaml
 from .engine import RunConfig, initialization_cost, run_experiment
 from .ga import GaParams
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance, save_instance
-from .records import read_records, write_records, write_trace
+from .records import DECIMAL, read_records, write_records, write_trace
 from .sa import SaParams
 from .stats import (
     SUMMARY_COLUMNS,
@@ -169,22 +169,15 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
     return kind, panmictic_topology(kind.removeprefix("panmictic_"))
 
 
-def _build_ga(data) -> GaParams | None:
+def _build_params(cls, data, fieldname: str):
+    """`cls(**data)`, GaParams or SaParams from the config field `fieldname`,
+    or None when the field is absent or empty."""
     if data is None:
         return None
     try:
-        return GaParams(**data)
+        return cls(**data)
     except (TypeError, ValueError) as exc:
-        raise ConfigError("ga", str(exc)) from None
-
-
-def _build_sa(data) -> SaParams | None:
-    if data is None:
-        return None
-    try:
-        return SaParams(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sa", str(exc)) from None
+        raise ConfigError(fieldname, str(exc)) from None
 
 
 def load_experiment_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -216,7 +209,8 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
     if "slow_factor" in data and setup not in SLOW_FACTOR_SETUPS:
         raise ConfigError("slow_factor", f"setup {setup!r} does not read it")
-    ga, sa = _build_ga(data.get("ga")), _build_sa(data.get("sa"))
+    ga = _build_params(GaParams, data.get("ga"), "ga")
+    sa = _build_params(SaParams, data.get("sa"), "sa")
     cost = initialization_cost(topology, ga, sa)
     budget = _as_int(_require(data, "budget"), "budget", minimum=1)
     if budget < cost:
@@ -364,6 +358,13 @@ def cmd_validate_topology(args) -> int:
     return EXIT_OK
 
 
+def _decimal(text: str) -> int:
+    """An integer flag, written as config integers and record cells are."""
+    if not DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hydrocm",
@@ -373,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("--config", required=True, help="experiment config file (YAML)")
-    p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_run.add_argument("--reps", type=int, default=None, help="override repetitions")
-    p_run.add_argument("--budget", type=int, default=None, help="override evaluation budget")
+    p_run.add_argument("--seed", type=_decimal, default=None, help="override master_seed")
+    p_run.add_argument("--reps", type=_decimal, default=None, help="override repetitions")
+    p_run.add_argument("--budget", type=_decimal, default=None, help="override evaluation budget")
     p_run.add_argument("--out", default=None, help="output directory (default: runs)")
     p_run.set_defaults(func=cmd_run)
 

@@ -1,7 +1,7 @@
 """Asynchronous island runtime.
 
 Each topology node runs its own sub-algorithm (ssGA or SA) and exchanges
-individuals over bounded non-blocking channels compiled from the bonds.
+migrants over bounded non-blocking channels compiled from the bonds.
 Heterogeneous hardware is emulated by a deterministic virtual-time
 scheduler (exact integer event arithmetic, replayable bit-for-bit). A
 panmictic baseline is a one-node topology run on the same loop.
@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import ga as ga_mod
 from . import sa as sa_mod
-from .ga import GaParams, Individual
-from .problems import is_optimum
+from .ga import GaParams
+from .problems import Genome, is_optimum
 from .records import IslandStats, RunResult
 from .sa import SaParams
 from .seeding import spawn_rngs
@@ -27,31 +27,17 @@ from .topology import SA, SSGA, TopologySpec, compile_channels
 CHANNEL_CAPACITY = 8
 
 
-class Channel:
-    """One-producer/one-consumer FIFO of migrants with bounded capacity.
-
-    Sends never block: when full, the oldest queued migrant is dropped
-    (freshest-information bias) and counted. Polls return immediately.
-    `batch` is the number of migrants the sender puts in per migration:
-    bond multiplicity times `migration_count`.
-    """
+class Channel(deque):
+    """One-producer/one-consumer FIFO of `(genome, fitness)` migrants, whose
+    read-only genomes sender and receiver share; appending to a full one
+    drops the oldest (freshest-information bias). The sender appends `batch`
+    migrants per migration (bond multiplicity times `migration_count`) and
+    counts every one in `sent`."""
 
     def __init__(self, batch: int):
+        super().__init__((), CHANNEL_CAPACITY)
         self.batch = batch
-        self.dropped = 0
-        self._queue: deque[Individual] = deque()
-
-    def send(self, migrant: Individual) -> None:
-        """Queue `migrant`, which the sender must not touch afterwards."""
-        if len(self._queue) >= CHANNEL_CAPACITY:
-            self._queue.popleft()
-            self.dropped += 1
-        self._queue.append(migrant)
-
-    def poll(self) -> list[Individual]:
-        msgs = list(self._queue)
-        self._queue.clear()
-        return msgs
+        self.sent = 0
 
 
 class VirtualScheduler:
@@ -130,27 +116,27 @@ class _Island:
         self.stats = IslandStats()
 
     def migrate(self, room: int) -> int:
-        """Send `channel.batch` emigrants on every outgoing channel, then
+        """Append `channel.batch` emigrants to every outgoing channel, then
         drain every incoming one; returns the evaluations the immigrants
         spent (only SA immigrants cost one each), at most `room`.
 
-        Draining halts at the first immigrant that `room` cannot pay for:
-        the rest of its channel's messages are dropped and later channels
-        are not polled.
+        Draining halts at the first immigrant that `room` cannot pay for;
+        it and the messages behind it stay queued.
         """
         for channel in self.out_channels:
             for _ in range(channel.batch):
-                channel.send(self.emigrant())
+                channel.append(self.emigrant())
+            channel.sent += channel.batch
             self.stats.emigrants_sent += channel.batch
         costs = self.immigrant_costs_eval
         spent = 0
         for channel in self.in_channels:
-            for msg in channel.poll():
+            while channel:
                 if costs:
                     if spent == room:
                         return spent
                     spent += 1
-                self._apply_immigrant(msg)
+                self._apply_immigrant(channel.popleft())
         return spent
 
 
@@ -170,14 +156,15 @@ class _GaIsland(_Island):
             self.best_fitness = f
         return f
 
-    def emigrant(self) -> Individual:
+    def emigrant(self) -> tuple[Genome, float]:
         return ga_mod.select_emigrant(self.pop, self.rng)
 
-    def _apply_immigrant(self, msg: Individual) -> None:
-        self.pop.replace_worst(msg.genome, msg.fitness)
+    def _apply_immigrant(self, msg: tuple[Genome, float]) -> None:
+        genome, fitness = msg
+        self.pop.replace_worst(genome, fitness)
         self.stats.immigrants_received += 1
-        if msg.fitness > self.best_fitness:
-            self.best_fitness = msg.fitness
+        if fitness > self.best_fitness:
+            self.best_fitness = fitness
 
 
 class _SaIsland(_Island):
@@ -198,11 +185,11 @@ class _SaIsland(_Island):
         self.stats.iterations += 1
         return self.state.best.fitness
 
-    def emigrant(self) -> Individual:
-        return self.state.best.copy()
+    def emigrant(self) -> tuple[Genome, float]:
+        return self.state.best.genome, self.state.best.fitness
 
-    def _apply_immigrant(self, msg: Individual) -> None:
-        sa_mod.inject_immigrant(self.state, msg.genome, self.problem, self.rng)
+    def _apply_immigrant(self, msg: tuple[Genome, float]) -> None:
+        sa_mod.inject_immigrant(self.state, msg[0], self.problem, self.rng)
         self.stats.evaluations += 1
         self.stats.immigrants_received += 1
 
@@ -292,7 +279,9 @@ def run_experiment(config: RunConfig) -> RunResult:
 
     per_island = {}
     for island in islands:
-        island.stats.messages_dropped = sum(ch.dropped for ch in island.in_channels)
+        # a migrant sent here was applied, dropped, or is still queued
+        gone = sum(ch.sent - len(ch) for ch in island.in_channels)
+        island.stats.messages_dropped = gone - island.stats.immigrants_received
         per_island[island.node.id] = island.stats
     return RunResult(
         seed=config.seed,

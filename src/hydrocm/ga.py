@@ -71,8 +71,8 @@ class GaParams:
 
 
 class Population:
-    """Fixed-size population owned by one island: `rows`, one uint8 genome
-    per member, each owning its memory and never changed in place, and
+    """Fixed-size population of one island: `rows`, one read-only uint8
+    genome per member, which other islands may share as migrants, and
     `fit`, their fitness values as Python floats. The index of the worst
     member is cached; `replace_worst`, the only write, keeps it the first
     minimum of `fit`, the index `np.argmin` gives."""
@@ -83,6 +83,8 @@ class Population:
         if len(genomes) != len(fitness):
             raise ValueError("genomes and fitness must have equal leading size")
         self.rows: list[Genome] = [g.copy() for g in genomes]
+        for row in self.rows:
+            row.flags.writeable = False
         self.fit: list[float] = [float(f) for f in fitness]
         self._worst: int | None = None
 
@@ -105,10 +107,9 @@ class Population:
         return w
 
     def replace_worst(self, genome: Genome, fitness: float) -> None:
-        """Put `genome` in place of the worst member. The population takes
-        the genome itself, which the caller must not touch afterwards. The
-        cached index stays valid when the new fitness is not above the old
-        worst: that slot is still the first minimum."""
+        """Put `genome`, read-only and stored without a copy, in place of the
+        worst member. The cached index stays valid when the new fitness is
+        not above the old worst: that slot is still the first minimum."""
         w = self.worst_index()
         fit = self.fit
         old = fit[w]
@@ -177,10 +178,13 @@ def flip_positions(length: int, p_per_bit: float, rng) -> list[int]:
 
 def mutate(genome: Genome, p_per_bit: float, rng) -> None:
     """Flip each bit of `genome` in place, independently with probability
-    p_per_bit, at the positions `flip_positions` draws."""
+    p_per_bit, at the positions `flip_positions` draws, during the gap walk."""
     bits = memoryview(genome)  # scalar writes without a numpy call each
-    for i in flip_positions(genome.shape[0], p_per_bit, rng):
-        bits[i] ^= 1
+    if 0.0 < p_per_bit < 1.0:
+        rng.flip_gaps(bits, math.log1p(-p_per_bit))
+    else:  # rate 0 or 1 flips without a draw; any other rate raises
+        for i in flip_positions(genome.shape[0], p_per_bit, rng):
+            bits[i] ^= 1
 
 
 def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
@@ -196,16 +200,17 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     mutate(child, params.p_mutation_per_bit, rng)
     f = problem.evaluate(child)
     if f >= pop.fit[pop.worst_index()]:
+        child.flags.writeable = False
         pop.replace_worst(child, f)
     return f
 
 
-def select_emigrant(pop: Population, rng) -> Individual:
-    """Uniformly random member, copied (the population is unchanged); the
-    index is drawn as in `_tournament_index`."""
+def select_emigrant(pop: Population, rng) -> tuple[Genome, float]:
+    """A uniformly random member, drawn as in `_tournament_index`, as a
+    `(genome, fitness)` pair that shares the member's read-only row."""
     fit = pop.fit
     n = len(fit)
     if n == 0:
         raise ValueError("population is empty")
     i = int(rng.random() * n)
-    return Individual(pop.rows[i].copy(), fit[i])
+    return pop.rows[i], fit[i]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 RECORD_HEADER = "seed,evaluations,elapsed_ms,best,success"
-_DECIMAL = re.compile(r"-?[0-9]+")
+DECIMAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass(slots=True)
@@ -98,7 +98,7 @@ def read_records(path) -> list[RecordRow]:
             raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(parts)}")
         try:
             for name, cell in zip(("seed", "evaluations"), parts):
-                if not _DECIMAL.fullmatch(cell):
+                if not DECIMAL.fullmatch(cell):
                     raise ValueError(f"{name} must be a decimal integer, got {cell!r}")
             if parts[4] not in ("0", "1"):
                 raise ValueError(f"success must be 0 or 1, got {parts[4]!r}")

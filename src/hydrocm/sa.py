@@ -64,8 +64,8 @@ class SaParams:
 @dataclass
 class SaState:
     """Annealing state: current solution, its tally, best-so-far, and the
-    cooling position. Owned by exactly one island; `current.genome` is
-    changed in place and never shared."""
+    cooling position. `current.genome` is changed in place and never shared;
+    `best` is a copy with a read-only genome, which migrants share."""
 
     current: Individual
     best: Individual
@@ -73,6 +73,12 @@ class SaState:
     t0: float
     temperature: float
     step: int = 0
+
+
+def _frozen_copy(ind: Individual) -> Individual:
+    copy = ind.copy()
+    copy.genome.flags.writeable = False
+    return copy
 
 
 def perturb(length: int, p_per_bit: float, rng) -> list[int]:
@@ -121,7 +127,7 @@ def init_sa_state(params: SaParams, problem, rng) -> SaState:
     f = problem.fitness_of(tally)
     t0 = params.t0 if params.t0 is not None else estimate_t0(problem, rng)
     current = Individual(genome, f)
-    return SaState(current=current, best=current.copy(), tally=tally, t0=t0, temperature=t0)
+    return SaState(current=current, best=_frozen_copy(current), tally=tally, t0=t0, temperature=t0)
 
 
 def sa_step(state: SaState, params: SaParams, problem, rng) -> None:
@@ -139,7 +145,7 @@ def sa_step(state: SaState, params: SaParams, problem, rng) -> None:
         cur.fitness = f
         state.tally = tally
         if f > state.best.fitness:
-            state.best = cur.copy()
+            state.best = _frozen_copy(cur)
     state.step += 1
     state.temperature = update_temperature(state.t0, state.step, params)
 
@@ -154,4 +160,4 @@ def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> None:
         state.current = Individual(genome.copy(), f)
         state.tally = tally
         if f > state.best.fitness:
-            state.best = state.current.copy()
+            state.best = _frozen_copy(state.current)

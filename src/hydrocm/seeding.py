@@ -78,6 +78,25 @@ class BufferedRng:
                 append(pos)
             self._i = i
 
+    def flip_gaps(self, bits, log_q: float) -> None:
+        """Flip in the writable buffer `bits`, during the walk, the positions
+        that `gap_positions(len(bits), log_q)` returns, with the same draws."""
+        length = len(bits)
+        pos = -1
+        while True:
+            if self._i >= self._block:
+                self._refill()
+            gaps = self._gaps if self._log_q == log_q else self._gap_table(log_q)
+            i, end = self._i, self._block
+            while i < end:
+                pos += gaps[i]
+                i += 1
+                if pos >= length:
+                    self._i = i
+                    return
+                bits[pos] ^= 1
+            self._i = i
+
     def _gap_table(self, log_q: float) -> list[int]:
         """Gaps for every uniform of the block at rate `log_q`. numpy's log may
         be one ulp off math.log, so a quotient within 1e-9 of an integer is

@@ -281,6 +281,37 @@ class TestRun:
             assert "config field 'slow_factor'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags, flag, value",
+        [
+            (["--seed", " 1_0 ", "--reps", "0_1", "--budget", "+20000"], "--seed", " 1_0 "),
+            (["--reps", "0_1"], "--reps", "0_1"),
+            (["--budget", "+20000"], "--budget", "+20000"),
+            (["--budget", "2e4"], "--budget", "2e4"),
+            (["--seed", "\u0663"], "--seed", "\u0663"),  # a non-ASCII digit that int() reads
+            (["--reps", ""], "--reps", ""),
+        ],
+        ids=["all-three", "reps-underscore", "budget-plus", "budget-float", "seed-arabic-digit", "reps-empty"],
+    )
+    def test_integer_flag_must_be_decimal(self, tmp_path, capsys, flags, flag, value):
+        cfg = write_config(tmp_path / "exp.yaml", repetitions=1)
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the value
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a decimal integer, got {value!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_flags_accept_decimal_digits(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.yaml")
+        out = tmp_path / "out"
+        flags = ["--seed", "007", "--reps", "2", "--budget", "3000"]
+        assert main(["run", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        rows = read_records(out / "records.csv")
+        assert [r.seed for r in rows] == [7, 8]
+        assert all(r.evaluations <= 3000 for r in rows)
+
+    @pytest.mark.parametrize(
         "overrides, flags, fieldname",
         [
             ({"master_seed": -1}, [], "master_seed"),

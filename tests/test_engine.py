@@ -5,13 +5,14 @@ import pytest
 
 from hydrocm import engine
 from hydrocm.engine import (
+    CHANNEL_CAPACITY,
     Channel,
     RunConfig,
     VirtualScheduler,
     initialization_cost,
     run_experiment,
 )
-from hydrocm.ga import GaParams, Individual
+from hydrocm.ga import GaParams
 from hydrocm.problems import MmdpInstance, is_optimum
 from hydrocm.sa import SaParams
 from hydrocm.topology import (
@@ -26,7 +27,9 @@ from hydrocm.topology import (
 
 
 def migrant(i):
-    return Individual(np.array([i], dtype=np.uint8), float(i))
+    genome = np.array([i], dtype=np.uint8)
+    genome.flags.writeable = False
+    return genome, float(i)
 
 
 def pair_topology(alg_a="ssga", alg_b="sa"):
@@ -38,31 +41,37 @@ def pair_topology(alg_a="ssga", alg_b="sa"):
 
 
 class TestChannel:
+    """A channel is a deque of `(genome, fitness)` migrants bounded at
+    CHANNEL_CAPACITY; the sender counts what it appends in `sent`."""
+
     def test_fifo_order(self):
         ch = Channel(1)
         for i in range(3):
-            ch.send(migrant(i))
-        msgs = ch.poll()
-        assert [m.fitness for m in msgs] == [0.0, 1.0, 2.0]
+            ch.append(migrant(i))
+        assert [ch.popleft()[1] for _ in range(3)] == [0.0, 1.0, 2.0]
 
     def test_overflow_drops_oldest(self):
         ch = Channel(1)
-        for i in range(9):
-            ch.send(migrant(i))
-        assert ch.dropped == 1
-        msgs = ch.poll()
-        assert len(msgs) == 8
-        assert msgs[0].fitness == 1.0  # message 0 was dropped
+        for i in range(CHANNEL_CAPACITY + 1):
+            ch.append(migrant(i))
+        ch.sent += CHANNEL_CAPACITY + 1
+        assert len(ch) == CHANNEL_CAPACITY
+        assert ch.sent - len(ch) == 1  # one migrant left by overflow
+        assert ch[0][1] == 1.0  # migrant 0 was dropped
 
-    def test_poll_empty_returns_immediately(self):
+    def test_drain_empty_channel(self):
         ch = Channel(1)
-        assert ch.poll() == []
+        assert not ch
+        assert list(ch) == []
 
-    def test_poll_clears_queue(self):
+    def test_drain_empties_channel(self):
         ch = Channel(1)
-        ch.send(migrant(1))
-        assert len(ch.poll()) == 1
-        assert ch.poll() == []
+        ch.append(migrant(1))
+        drained = []
+        while ch:
+            drained.append(ch.popleft())
+        assert [f for _, f in drained] == [1.0]
+        assert not ch and len(ch) == 0
 
 
 class TestVirtualScheduler:
@@ -342,3 +351,74 @@ class TestRunExperiment:
             assert not res.success
             for node_id, stats in res.per_island.items():
                 assert stats.emigrants_sent == (stats.iterations // freq) * count * degree[node_id]
+
+
+class TestMigrationCounters:
+    """Every node's counters on small runs whose channels overflow
+    (`migration_count` 9) or whose SA drain halts at the budget, pinned to
+    the values of the send/poll channels that the bounded deques replaced.
+    `messages_dropped` is derived from the channels at the end of a run, so
+    these pins are what guard it. Stats tuples are (evaluations, iterations,
+    emigrants_sent, immigrants_received, messages_dropped)."""
+
+    CASES = {
+        # topology, MMDP k, budget, migration_frequency, migration_count, seed
+        "ethane_g-overflow": (lambda: ethane_topology("G"), 6, 3_000, 3, 9, 1),
+        # an SA hub halts a drain with 24 evaluations of room left
+        "ethane_s-overflow-halt": (lambda: ethane_topology("S"), 6, 3_000, 1, 9, 2),
+        "ring8-overflow": (lambda: ring_topology(8, {0, 4}), 6, 3_000, 1, 9, 3),
+        # an SA leaf halts a drain with 3 evaluations of room left
+        "ethane_g-halt": (lambda: ethane_topology("G"), 8, 1_040, 1, 1, 1_040),
+    }
+    EXPECTED = {
+        "ethane_g-overflow": {
+            "C0": (301, 237, 2844, 1272, 160),
+            "C1": (301, 237, 2844, 1280, 160),
+            **{f"H{i}": (400, 83, 243, 216, 487) for i in range(4)},
+            "H4": (399, 82, 243, 216, 487),
+            "H5": (399, 82, 243, 216, 487),
+        },
+        "ethane_s-overflow-halt": {
+            "C0": (1239, 66, 2376, 1072, 135),
+            "C1": (1239, 66, 2376, 1072, 135),
+            **{f"H{i}": (87, 23, 207, 184, 402) for i in range(6)},
+        },
+        "ring8-overflow": {
+            **{f"N{i}": (276, 212, 1908, 1696, 212) for i in range(8)},
+            "N0": (672, 608, 5472, 1696, 212),
+            "N4": (672, 608, 5472, 1696, 212),
+            "N1": (276, 212, 1908, 1696, 3768),
+            "N5": (276, 212, 1908, 1696, 3768),
+        },
+        "ethane_g-halt": {
+            "C0": (95, 31, 124, 60, 0),
+            "C1": (95, 31, 124, 61, 0),
+            **{f"H{i}": (143, 11, 11, 31, 0) for i in range(4)},
+            "H4": (139, 10, 10, 28, 0),
+            "H5": (139, 10, 10, 28, 0),
+        },
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_per_node_counters(self, case):
+        topology, k, budget, freq, count, seed = self.CASES[case]
+        res = run_experiment(
+            RunConfig(
+                topology=topology(),
+                problem=MmdpInstance(k=k),
+                evaluation_budget=budget,
+                seed=seed,
+                migration_frequency=freq,
+                migration_count=count,
+            )
+        )
+        assert not res.success and res.evaluations == budget
+        got = {
+            node: (s.evaluations, s.iterations, s.emigrants_sent, s.immigrants_received, s.messages_dropped)
+            for node, s in res.per_island.items()
+        }
+        assert got == self.EXPECTED[case]
+        stats = res.per_island.values()
+        received = sum(s.immigrants_received for s in stats)
+        dropped = sum(s.messages_dropped for s in stats)
+        assert received + dropped <= sum(s.emigrants_sent for s in stats)

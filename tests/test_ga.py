@@ -171,6 +171,26 @@ class TestMutate:
         stderr = np.sqrt(p * (1 - p) / calls)
         assert np.all(np.abs(per_bit / calls - p) <= 5 * stderr)
 
+    @pytest.mark.parametrize("length", [1, 30, 150, 2048, 5000])
+    @pytest.mark.parametrize("rate", ["0", "5e-324", "4/L", "0.5", "1"])
+    def test_flips_during_walk_what_flip_positions_returns(self, length, rate):
+        # 5000 bits pass a 1,024-uniform block within one call
+        p = min(1.0, 4.0 / length) if rate == "4/L" else float(rate)
+        walker, sampler = node_rng(83), node_rng(83)
+        g = node_rng(5).integers(0, 2, size=length, dtype=np.uint8)
+        for _ in range(100):
+            child = mutated(g, p, walker)
+            assert np.flatnonzero(child != g).tolist() == flip_positions(length, p, sampler)
+            assert walker.random() == sampler.random()
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    def test_read_only_genome_raises(self, rate):
+        g = np.zeros(2048, dtype=np.uint8)
+        g.flags.writeable = False
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(g, rate, node_rng(89))
+        assert not g.any()
+
     def test_flips_in_place(self):
         g = node_rng(3).integers(0, 2, size=300, dtype=np.uint8)
         before = g.copy()
@@ -398,32 +418,40 @@ class TestImmigrate:
 
 
 class TestSelectEmigrant:
+    """An emigrant is a member's own read-only row with its fitness, drawn
+    with one scalar uniform."""
+
     def test_singleton(self, rng):
         pop = make_population([5.0])
-        ind = select_emigrant(pop, rng)
-        assert ind.fitness == 5.0
+        genome, fitness = select_emigrant(pop, rng)
+        assert genome is pop.rows[0]
+        assert fitness == 5.0
 
     def test_population_untouched(self, rng):
         pop = make_population([1.0, 2.0, 3.0])
         genomes = np.stack(pop.rows)
-        select_emigrant(pop, rng).genome[:] = 9  # mutate the copy only
+        genome, _ = select_emigrant(pop, rng)
+        with pytest.raises(ValueError):
+            genome[:] = 9  # the shared row is read-only
         assert np.array_equal(np.stack(pop.rows), genomes)
 
     def test_uniform_distribution(self):
         pop = make_population(list(range(64)))
-        rng = node_rng(61)
+        rng, twin = node_rng(61), node_rng(61)
         counts = np.zeros(64)
         for _ in range(10_000):
-            ind = select_emigrant(pop, rng)
-            idx = int((ind.genome * (1 << np.arange(8))).sum())
-            counts[idx] += 1
+            genome, fitness = select_emigrant(pop, rng)
+            i = int(twin.random() * 64)  # the one draw the index costs
+            assert genome is pop.rows[i] and fitness == pop.fit[i]
+            counts[i] += 1
+        assert rng.random() == twin.random()
         assert scipy_stats.chisquare(counts).pvalue > 0.01
 
 
 class TestPopulation:
-    """`rows` and `fit` hold each member once: owned uint8 rows and Python
-    floats, with the worst-index cache on the first minimum, through every
-    kind of write and read."""
+    """`rows` and `fit` hold each member once: read-only uint8 rows, which
+    may be shared, and Python floats, with the worst-index cache on the
+    first minimum, through every kind of write and read."""
 
     @pytest.mark.parametrize(
         "problem", [MmdpInstance(k=3), generate_ssp_instance(40, seed=2)], ids=["mmdp", "ssp"]
@@ -436,13 +464,12 @@ class TestPopulation:
         for step in range(600):
             op = step % 5
             if op == 3:
-                migrant = select_emigrant(donor, rng)
-                pop.replace_worst(migrant.genome, migrant.fitness)
+                pop.replace_worst(*select_emigrant(donor, rng))
             elif op == 4:
                 genomes, fit = np.stack(pop.rows), list(pop.fit)
-                emigrant = select_emigrant(pop, rng)
-                emigrant.genome ^= 1
-                emigrant.fitness = -1.0
+                genome, _ = select_emigrant(pop, rng)
+                with pytest.raises(ValueError):
+                    genome ^= 1
                 assert np.array_equal(np.stack(pop.rows), genomes)
                 assert pop.fit == fit
             else:
@@ -452,8 +479,7 @@ class TestPopulation:
             assert len(pop.rows) == pop.size
             for row in pop.rows:
                 assert type(row) is np.ndarray and row.dtype == np.uint8 and row.shape == (problem.length,)
-            for i, row in enumerate(pop.rows):
-                assert not any(np.shares_memory(row, other) for other in pop.rows[i + 1 :])
+                assert not row.flags.writeable
 
 
 class TestRunPanmicticSsga:
