@@ -3,15 +3,15 @@
 benchmark's own rules.
 
 Usage:
-    python3 scripts/pairs.py REF WORKLOAD [--pairs N] [--seed S] [--seconds T]
+    python3 scripts/pairs.py REF WORKLOAD [--pairs N] [--seed S]
 
 REF is the git revision to compare against (the parent). It is checked out
 with `git worktree add --detach` into a temporary directory, which is
 removed again however the script ends. Each pair runs `perfbench/run.py
 --workload WORKLOAD --seed S --seconds T --trace 0` once in REF's tree and
 once in the working tree, each to completion before the next starts; the
-side that goes first alternates from pair to pair. T defaults to
-BENCHMARK.json's `run_seconds`, N to 10 and S to 0.
+side that goes first alternates from pair to pair. T is BENCHMARK.json's
+`run_seconds`; N defaults to 10 and S to 0.
 
 The script refuses (exit 2) when `perfbench/` or `BENCHMARK.json` differ
 between REF and the working tree, since both sides must be measured by the
@@ -20,10 +20,14 @@ same benchmark.
 For each end-to-end metric of BENCHMARK.json it prints both sides' median
 and quartiles (inclusive method), the pairs the change won, and two
 verdicts:
-- gain: the change won at least 9 of every 10 pairs, and its median is
-  better than the parent's by more than the parent's interquartile range;
-- regression: the change's median is worse than the parent's by more than
-  the metric's bound, a fraction of the parent's median.
+- gain: the change won at least 9 of every 10 pairs, its median is better
+  than the parent's by more than the parent's interquartile range, and no
+  larger share of its operations failed than of the parent's;
+- regression: `yes` when the change's median is worse than the parent's by
+  more than the metric's bound, a fraction of the parent's median;
+  otherwise `unresolved` when the parent's interquartile range is wider
+  than that bound and some change run is not better than every parent
+  run (the runs spread too widely to tell); otherwise `no`.
 It also prints each side's failed operations, whether every run of both
 sides wrote the same records (`records_sha256`), and last a JSON line with
 every run's value of each metric, pair by pair.
@@ -53,10 +57,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
+def summarize(metric: dict, parent: list[float], change: list[float], failed: tuple[float, float]) -> dict:
     """The verdicts on one end-to-end metric (a BENCHMARK.json entry with
     `name`, `better` and `bound`) from its values in paired runs: parent[i]
-    and change[i] come from pair i."""
+    and change[i] come from pair i. `failed` is the share of operations
+    that failed on each side, (parent, change)."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change values")
     sign = 1.0 if metric["better"] == "higher" else -1.0
@@ -64,14 +69,21 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     c_q1, c_median, c_q3 = quartiles(change)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gap = sign * (c_median - p_median)  # positive when the change is better
+    bound = metric["bound"] * abs(p_median)
+    if -gap > bound:
+        regression = "yes"
+    elif p_q3 - p_q1 > bound and not all(sign * (c - p) > 0 for p in parent for c in change):
+        regression = "unresolved"
+    else:
+        regression = "no"
     return {
         "name": metric["name"],
         "parent": (p_q1, p_median, p_q3),
         "change": (c_q1, c_median, c_q3),
         "wins": wins,
         "pairs": len(parent),
-        "gain": wins >= GAIN_WIN_SHARE * len(parent) and gap > p_q3 - p_q1,
-        "regression": -gap > metric["bound"] * abs(p_median),
+        "gain": wins >= GAIN_WIN_SHARE * len(parent) and gap > p_q3 - p_q1 and failed[1] <= failed[0],
+        "regression": regression,
     }
 
 
@@ -83,7 +95,7 @@ def format_summary(s: dict) -> str:
     return (
         f"{s['name']:14s} parent {q(s['parent'])}  change {q(s['change'])}  "
         f"won {s['wins']}/{s['pairs']}  gain {'yes' if s['gain'] else 'no'}  "
-        f"regression {'yes' if s['regression'] else 'no'}"
+        f"regression {s['regression']}"
     )
 
 
@@ -122,14 +134,13 @@ def main(argv=None) -> int:
     parser.add_argument("workload", help="a workload named in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=None, help="default: BENCHMARK.json run_seconds")
     args = parser.parse_args(argv)
     bench = json.loads(BENCHMARK.read_text())
     if args.workload not in [w["name"] for w in bench["workloads"]]:
         parser.error(f"unknown workload {args.workload!r}")
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
-    if args.pairs < 1 or args.seed < 0 or seconds < 1:
-        parser.error("--pairs and --seconds must be >= 1 and --seed >= 0")
+    if args.pairs < 1 or args.seed < 0:
+        parser.error("--pairs must be >= 1 and --seed >= 0")
+    seconds = bench["run_seconds"]
     try:
         differs = benchmark_differs(args.ref)
     except ValueError as exc:
@@ -159,16 +170,16 @@ def main(argv=None) -> int:
         git("worktree", "prune")
 
     print(f"{args.workload}: {args.pairs} alternating pairs, {args.ref} vs working tree, seed {args.seed}, {seconds} s")
+    counts = {side: (sum(r["failed"] for r in runs[side]), sum(r["attempted"] for r in runs[side])) for side in runs}
+    failed = tuple(f / max(a, 1) for f, a in (counts["parent"], counts["change"]))
     values = {}
     for metric in bench["end_to_end"]:
         name = metric["name"]
         values[name] = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        print(format_summary(summarize(metric, values[name]["parent"], values[name]["change"])))
+        print(format_summary(summarize(metric, values[name]["parent"], values[name]["change"], failed)))
     for side in runs:
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
         incorrect = sum(not r["correct"] for r in runs[side])
-        print(f"{side}: {failed} of {attempted} operations failed, {incorrect} runs not correct")
+        print(f"{side}: {counts[side][0]} of {counts[side][1]} operations failed, {incorrect} runs not correct")
     shas = {r["records_sha256"] for side in runs for r in runs[side]}
     print(f"records_sha256: {'identical in every run' if len(shas) == 1 else 'DIFFERS'}")
     print(json.dumps(values))

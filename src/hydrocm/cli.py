@@ -169,15 +169,22 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
     return kind, panmictic_topology(kind.removeprefix("panmictic_"))
 
 
-def _build_params(cls, data, fieldname: str):
-    """`cls(**data)`, GaParams or SaParams from the config field `fieldname`,
-    or None when the field is absent or empty."""
+def _build_ga(data) -> GaParams | None:
     if data is None:
         return None
     try:
-        return cls(**data)
+        return GaParams(**data)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(fieldname, str(exc)) from None
+        raise ConfigError("ga", str(exc)) from None
+
+
+def _build_sa(data) -> SaParams | None:
+    if data is None:
+        return None
+    try:
+        return SaParams(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("sa", str(exc)) from None
 
 
 def load_experiment_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -209,8 +216,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
     if "slow_factor" in data and setup not in SLOW_FACTOR_SETUPS:
         raise ConfigError("slow_factor", f"setup {setup!r} does not read it")
-    ga = _build_params(GaParams, data.get("ga"), "ga")
-    sa = _build_params(SaParams, data.get("sa"), "sa")
+    ga, sa = _build_ga(data.get("ga")), _build_sa(data.get("sa"))
     cost = initialization_cost(topology, ga, sa)
     budget = _as_int(_require(data, "budget"), "budget", minimum=1)
     if budget < cost:

@@ -5,6 +5,7 @@ import pytest
 
 from hydrocm.ga import Individual
 from hydrocm import sa as sa_mod
+from hydrocm.engine import _SaIsland
 from hydrocm.problems import MmdpInstance, generate_ssp_instance, random_genome
 from hydrocm.sa import (
     SaParams,
@@ -259,27 +260,53 @@ class TestInjectImmigrant:
 
 
 class TestSelectEmigrantSa:
+    """An SA island's emigrant is `(state.best.genome, state.best.fitness)`,
+    shared without a copy; `best` holds a read-only genome however it was
+    last set, so no receiver can change it."""
+
+    @staticmethod
+    def island(problem, seed):
+        params = SaParams().resolved_for(problem.length)
+        island = _SaIsland(None, problem, node_rng(seed), params)
+        island.initialize()
+        return island
+
+    @staticmethod
+    def assert_shares_read_only_best(island):
+        genome, fitness = island.emigrant()
+        best = island.state.best
+        assert genome is best.genome and fitness == best.fitness
+        assert not genome.flags.writeable
+        assert not np.shares_memory(genome, island.state.current.genome)
+        return genome
+
     def test_fresh_state_returns_current(self):
-        prob = MmdpInstance(k=1)
-        state, *_ = fresh_state(prob, seed=11)
-        emigrant = state.best.copy()
-        assert emigrant.fitness == state.current.fitness
-        assert np.array_equal(emigrant.genome, state.current.genome)
+        island = self.island(MmdpInstance(k=1), seed=11)
+        genome = self.assert_shares_read_only_best(island)
+        assert island.emigrant()[1] == island.state.current.fitness
+        assert np.array_equal(genome, island.state.current.genome)
 
     def test_returns_best_after_improvement(self):
-        prob = MmdpInstance(k=1)
-        state, params, rng = fresh_state(prob, seed=12)
+        island = self.island(MmdpInstance(k=4), seed=12)
+        first = island.state.best
         for _ in range(200):
-            sa_step(state, params, prob, rng)
-        emigrant = state.best.copy()
-        assert emigrant.fitness == state.best.fitness
+            island.step()
+        assert island.state.best.fitness > first.fitness  # sa_step set a new best
+        self.assert_shares_read_only_best(island)
+        assert island.state.best.fitness < 4.0
+        optimum = np.ones(24, dtype=np.uint8)
+        island._apply_immigrant((optimum, 4.0))
+        assert island.state.best.fitness == 4.0  # inject_immigrant set a new best
+        genome = self.assert_shares_read_only_best(island)
+        assert not np.shares_memory(genome, optimum)
 
     def test_state_unmodified(self):
-        prob = MmdpInstance(k=1)
-        state, *_ = fresh_state(prob, seed=13)
-        genome_before = state.best.genome.copy()
-        state.best.copy().genome[:] = 1
-        assert np.array_equal(state.best.genome, genome_before)
+        island = self.island(MmdpInstance(k=1), seed=13)
+        genome, _ = island.emigrant()
+        before = genome.copy()
+        with pytest.raises(ValueError):
+            genome[:] = 1
+        assert np.array_equal(island.state.best.genome, before)
 
 
 class TestRunPanmicticSa:
