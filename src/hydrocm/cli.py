@@ -169,22 +169,16 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
     return kind, panmictic_topology(kind.removeprefix("panmictic_"))
 
 
-def _build_ga(data) -> GaParams | None:
-    if data is None:
-        return None
+def _build_params(data: dict, key: str, cls):
+    """`cls` from the config's `key` mapping; an absent or null one gives
+    the defaults."""
+    value = data.get(key)
+    if value is None:
+        return cls()
     try:
-        return GaParams(**data)
+        return cls(**value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError("ga", str(exc)) from None
-
-
-def _build_sa(data) -> SaParams | None:
-    if data is None:
-        return None
-    try:
-        return SaParams(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sa", str(exc)) from None
+        raise ConfigError(key, str(exc)) from None
 
 
 def load_experiment_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -216,7 +210,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
     if "slow_factor" in data and setup not in SLOW_FACTOR_SETUPS:
         raise ConfigError("slow_factor", f"setup {setup!r} does not read it")
-    ga, sa = _build_ga(data.get("ga")), _build_sa(data.get("sa"))
+    ga, sa = _build_params(data, "ga", GaParams), _build_params(data, "sa", SaParams)
     cost = initialization_cost(topology, ga, sa)
     budget = _as_int(_require(data, "budget"), "budget", minimum=1)
     if budget < cost:

@@ -87,8 +87,8 @@ class RunConfig:
     seed: int
     migration_frequency: int = 50
     migration_count: int = 1
-    ga: GaParams | None = None
-    sa: SaParams | None = None
+    ga: GaParams = GaParams()
+    sa: SaParams = SaParams()
 
     def __post_init__(self):
         if self.evaluation_budget < 1:
@@ -172,7 +172,7 @@ class _SaIsland(_Island):
 
     @property
     def best_fitness(self) -> float:
-        return self.state.best.fitness
+        return self.state.best[1]
 
     def initialize(self) -> int:
         self.state = sa_mod.init_sa_state(self.params, self.problem, self.rng)
@@ -183,10 +183,10 @@ class _SaIsland(_Island):
         sa_mod.sa_step(self.state, self.params, self.problem, self.rng)
         self.stats.evaluations += 1
         self.stats.iterations += 1
-        return self.state.best.fitness
+        return self.state.best[1]
 
     def emigrant(self) -> tuple[Genome, float]:
-        return self.state.best.genome, self.state.best.fitness
+        return self.state.best
 
     def _apply_immigrant(self, msg: tuple[Genome, float]) -> None:
         sa_mod.inject_immigrant(self.state, msg[0], self.problem, self.rng)
@@ -194,10 +194,10 @@ class _SaIsland(_Island):
         self.stats.immigrants_received += 1
 
 
-def initialization_cost(topology: TopologySpec, ga: GaParams | None, sa: SaParams | None) -> int:
+def initialization_cost(topology: TopologySpec, ga: GaParams, sa: SaParams) -> int:
     """Evaluations spent initializing every node of `topology`: pop_size
     per ssGA node, and per SA node its `SaParams.init_evaluations`."""
-    costs = {SSGA: (ga or GaParams()).pop_size, SA: (sa or SaParams()).init_evaluations}
+    costs = {SSGA: ga.pop_size, SA: sa.init_evaluations}
     return sum(costs[node.algorithm] for node in topology.nodes)
 
 
@@ -211,8 +211,8 @@ def _build_islands(config: RunConfig) -> list[_Island]:
             "that initializing the topology costs"
         )
     problem = config.problem
-    ga_params = (config.ga or GaParams()).resolved_for(problem.length)
-    sa_params = (config.sa or SaParams()).resolved_for(problem.length)
+    ga_params = config.ga.resolved_for(problem.length)
+    sa_params = config.sa.resolved_for(problem.length)
     rngs = spawn_rngs(config.seed, len(spec.nodes))
 
     islands = []

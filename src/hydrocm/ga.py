@@ -14,17 +14,6 @@ import numpy as np
 from .problems import Genome
 
 
-@dataclass(slots=True)
-class Individual:
-    """Genome plus its cached fitness."""
-
-    genome: Genome
-    fitness: float
-
-    def copy(self) -> "Individual":
-        return Individual(self.genome.copy(), self.fitness)
-
-
 def default_mutation_rate(length: int) -> float:
     """Standard per-bit mutation probability: 4.0 / chromosome length."""
     return min(1.0, 4.0 / length)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ga import Individual, check_real, default_mutation_rate, flip_positions
+from .ga import check_real, default_mutation_rate, flip_positions
 from .problems import Genome, random_genome
 
 SCHEDULES = ("fast", "geometric")
@@ -63,22 +63,24 @@ class SaParams:
 
 @dataclass
 class SaState:
-    """Annealing state: current solution, its tally, best-so-far, and the
-    cooling position. `current.genome` is changed in place and never shared;
-    `best` is a copy with a read-only genome, which migrants share."""
+    """Annealing state: the current solution (`genome`, `fitness` and the
+    problem's `tally` of it), the best-so-far and the cooling position.
+    `genome` is changed in place and never shared; `best` is a read-only
+    `(genome, fitness)` pair of its own, which migrants share."""
 
-    current: Individual
-    best: Individual
+    genome: Genome
+    fitness: float
     tally: object
+    best: tuple[Genome, float]
     t0: float
     temperature: float
     step: int = 0
 
 
-def _frozen_copy(ind: Individual) -> Individual:
-    copy = ind.copy()
-    copy.genome.flags.writeable = False
-    return copy
+def _frozen(genome: Genome, fitness: float) -> tuple[Genome, float]:
+    copy = genome.copy()
+    copy.flags.writeable = False
+    return copy, fitness
 
 
 def perturb(length: int, p_per_bit: float, rng) -> list[int]:
@@ -126,26 +128,25 @@ def init_sa_state(params: SaParams, problem, rng) -> SaState:
     tally = problem.tally(genome)
     f = problem.fitness_of(tally)
     t0 = params.t0 if params.t0 is not None else estimate_t0(problem, rng)
-    current = Individual(genome, f)
-    return SaState(current=current, best=_frozen_copy(current), tally=tally, t0=t0, temperature=t0)
+    return SaState(genome, f, tally, _frozen(genome, f), t0=t0, temperature=t0)
 
 
 def sa_step(state: SaState, params: SaParams, problem, rng) -> None:
     """One annealing move: draw the flips, score them from the tally (one
     evaluation), accept or reject, update best, cool, advance the step
     counter. An accepted move flips the current genome in place."""
-    cur = state.current
-    positions = perturb(cur.genome.shape[0], params.p_perturb_per_bit, rng)
-    tally = problem.flip(state.tally, cur.genome, positions)
+    genome = state.genome
+    positions = perturb(genome.shape[0], params.p_perturb_per_bit, rng)
+    tally = problem.flip(state.tally, genome, positions)
     f = problem.fitness_of(tally)
-    if accept(cur.fitness, f, state.temperature, rng):
-        bits = memoryview(cur.genome)
+    if accept(state.fitness, f, state.temperature, rng):
+        bits = memoryview(genome)
         for i in positions:
             bits[i] ^= 1
-        cur.fitness = f
+        state.fitness = f
         state.tally = tally
-        if f > state.best.fitness:
-            state.best = _frozen_copy(cur)
+        if f > state.best[1]:
+            state.best = _frozen(genome, f)
     state.step += 1
     state.temperature = update_temperature(state.t0, state.step, params)
 
@@ -156,8 +157,9 @@ def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> None:
     cooling position is untouched."""
     tally = problem.tally(genome)
     f = problem.fitness_of(tally)
-    if accept(state.current.fitness, f, state.temperature, rng):
-        state.current = Individual(genome.copy(), f)
+    if accept(state.fitness, f, state.temperature, rng):
+        state.genome = genome.copy()
+        state.fitness = f
         state.tally = tally
-        if f > state.best.fitness:
-            state.best = _frozen_copy(state.current)
+        if f > state.best[1]:
+            state.best = _frozen(genome, f)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -244,22 +244,6 @@ def compile_channels(spec: TopologySpec) -> tuple[ChannelSpec, ...]:
     return tuple(channels)
 
 
-def topology_to_dict(spec: TopologySpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "nodes": [
-            {
-                "id": n.id,
-                "atom": n.atom,
-                "algorithm": n.algorithm,
-                "speed_factor": n.speed_factor,
-            }
-            for n in spec.nodes
-        ],
-        "bonds": [{"a": b.a, "b": b.b, "multiplicity": b.multiplicity} for b in spec.bonds],
-    }
-
-
 def _check_keys(mapping, allowed: tuple[str, ...], required: tuple[str, ...], what: str) -> None:
     if not isinstance(mapping, dict):
         raise ValueError(f"{what} must be a mapping, got {mapping!r}")
@@ -312,7 +296,7 @@ UniqueKeyLoader.add_constructor("tag:yaml.org,2002:map", _unique_key_mapping)
 
 
 def save_topology(spec: TopologySpec, path) -> None:
-    Path(path).write_text(yaml.safe_dump(topology_to_dict(spec), sort_keys=False))
+    Path(path).write_text(yaml.safe_dump({"kind": spec.kind, **asdict(spec)}, sort_keys=False))
 
 
 def load_topology(path) -> TopologySpec:

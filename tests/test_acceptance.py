@@ -168,7 +168,7 @@ def test_criterion_7_invariant_suite(capsys):
     # SA best-so-far monotone under steps and immigrant injections
     sa_params = SaParams().resolved_for(prob.length)
     state = init_sa_state(sa_params, prob, rng)
-    best = state.best.fitness
+    best = state.best[1]
     monotone = True
     for step in range(2_000):
         if step % 37 == 0:
@@ -176,8 +176,8 @@ def test_criterion_7_invariant_suite(capsys):
             inject_immigrant(state, genome, prob, rng)
         else:
             sa_step(state, sa_params, prob, rng)
-        monotone = monotone and state.best.fitness >= best
-        best = state.best.fitness
+        monotone = monotone and state.best[1] >= best
+        best = state.best[1]
     checks["sa best monotone"] = monotone
 
     # temperature positive and non-increasing for both schedules

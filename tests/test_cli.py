@@ -1,19 +1,32 @@
 """End-to-end CLI tests on tiny instances (every path finishes in seconds)."""
 
+import contextlib
+import copy
+import io
+import math
+import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydrocm.cli import load_experiment_config, main
-from hydrocm.records import read_records
+from hydrocm.cli import CONFIG_KEYS, PROBLEMS, SETUPS, load_experiment_config, main
+from hydrocm.ga import GaParams
+from hydrocm.records import RECORD_HEADER, read_records
+from hydrocm.sa import SaParams
 from hydrocm.stats import format_speedup, speedup
 from hydrocm.topology import (
+    BondSpec,
+    NodeSpec,
+    TopologySpec,
     ethane_topology,
     load_topology,
     panmictic_topology,
     ring_topology,
-    topology_to_dict,
+    save_topology,
     validate_topology,
 )
 
@@ -247,11 +260,30 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "p"), "--budget", str(cost - 1)]) == 2
         assert "config field 'budget'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ga", [{"pop_size": 2.5}, {"tournament_size": 1.5}, {"pop_size": True}])
+    @pytest.mark.parametrize(
+        "ga",  # the config entry, one `ga` or `sa` key and its value
+        [
+            {"ga": {"pop_size": 2.5}},
+            {"ga": {"tournament_size": 1.5}},
+            {"ga": {"pop_size": True}},
+            {"ga": []},
+            {"sa": "x"},
+        ],
+    )
     def test_non_integer_ga_size_is_config_error(self, tmp_path, capsys, ga):
-        cfg = write_config(tmp_path / "exp.yaml", ga=ga)
+        cfg = write_config(tmp_path / "exp.yaml", **ga)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config field 'ga'" in capsys.readouterr().err
+        (field,) = ga
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_null_params_are_the_defaults(self, tmp_path):
+        options = {"setup": {"kind": "ethane_g"}, "repetitions": 2, "budget": 5_000}
+        plain = write_config(tmp_path / "plain.yaml", **options)
+        nulls = write_config(tmp_path / "nulls.yaml", ga=None, sa=None, **options)
+        assert "ga: null" in nulls.read_text() and "sa: null" in nulls.read_text()
+        for cfg, out in ((plain, "a"), (nulls, "b")):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "a" / "records.csv").read_bytes() == (tmp_path / "b" / "records.csv").read_bytes()
 
     @pytest.mark.parametrize("value", ["fast", float("nan"), float("inf"), 0, True])
     def test_bad_slow_factor_is_config_error(self, tmp_path, capsys, value):
@@ -567,9 +599,10 @@ class TestDeskConfigs:
 
 
 class TestValidateTopology:
-    def test_shipped_ethane_files_valid(self, capsys):
-        # what scripts/make_topologies.py writes; a file that drifted from
-        # its generator fails here
+    def test_shipped_ethane_files_valid(self, tmp_path, capsys):
+        # what scripts/make_topologies.py writes, byte for byte; a file that
+        # drifted from its generator, or a writer that reorders or reformats
+        # a key, fails here
         generated = {
             "ethane_g.topology": ethane_topology("G"),
             "ethane_s.topology": ethane_topology("S"),
@@ -580,6 +613,8 @@ class TestValidateTopology:
             assert main(["validate-topology", str(path)]) == 0
             assert "valid" in capsys.readouterr().out
             assert load_topology(path) == spec
+            save_topology(spec, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == path.read_bytes()
 
     def test_pentavalent_carbon_rejected(self, tmp_path, capsys):
         doc = {
@@ -624,7 +659,7 @@ class TestValidateTopology:
         ],
     )
     def test_unknown_key_or_bad_number_is_input_error(self, tmp_path, capsys, where, key, value):
-        doc = topology_to_dict(ethane_topology("G"))
+        doc = asdict(ethane_topology("G"))
         target = {"document": doc, "node": doc["nodes"][2], "bond": doc["bonds"][1]}[where]
         target[key] = value
         path = tmp_path / "bad.topology"
@@ -637,7 +672,7 @@ class TestValidateTopology:
 
     @pytest.mark.parametrize("where, key", [("document", "bonds"), ("node", "id"), ("bond", "a"), ("bond", "b")])
     def test_missing_key_is_input_error(self, tmp_path, capsys, where, key):
-        doc = topology_to_dict(ethane_topology("G"))
+        doc = asdict(ethane_topology("G"))
         del {"document": doc, "node": doc["nodes"][2], "bond": doc["bonds"][1]}[where][key]
         path = tmp_path / "bad.topology"
         path.write_text(yaml.safe_dump(doc))
@@ -647,7 +682,7 @@ class TestValidateTopology:
     @pytest.mark.parametrize("value", [None, [1, 2], 0, True, {"x": 1}], ids=["null", "list", "int", "bool", "mapping"])
     @pytest.mark.parametrize("where, key", [("node", "id"), ("bond", "a"), ("bond", "b")])
     def test_non_string_id_is_input_error(self, tmp_path, capsys, where, key, value):
-        doc = topology_to_dict(ethane_topology("G"))
+        doc = asdict(ethane_topology("G"))
         {"node": doc["nodes"][2], "bond": doc["bonds"][1]}[where][key] = value
         path = tmp_path / "bad.topology"
         path.write_text(yaml.safe_dump(doc))
@@ -723,3 +758,125 @@ class TestValidateTopology:
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'setup.topology'" in capsys.readouterr().err
+
+
+class TestExitCodeFuzz:
+    """Every input the CLI is given ends in a documented exit code, never a
+    traceback. Each example takes one shipped input (a desk config at one
+    repetition and a budget of 2,000, with `ga:` and `sa:` mappings that
+    restate a default each, a shipped topology file, or a valid records
+    file), replaces one value in it or inserts one key, and runs it
+    through `main`.
+
+    The pool holds no large integer: `k: 10**9`, `n: 10**9` or
+    `pop_size: 10**9` is valid input that allocates a huge genome or
+    population, and `tournament_size: 10**9` is valid input that draws for
+    minutes, so no exit code would come back in time."""
+
+    DIRECTORY, MISSING = "<a directory>", "<a missing file>"
+    POOL = (-1, 0, math.nan, math.inf, -math.inf, True, "x", [1, 2], {"x": 1}, None, DIRECTORY, MISSING)
+    #: Every key the inputs may hold, and one that none may.
+    KEYS = sorted(
+        {*CONFIG_KEYS, *(k for keys in (*PROBLEMS.values(), *SETUPS.values()) for k in keys)}
+        | {f.name for cls in (GaParams, SaParams, NodeSpec, BondSpec, TopologySpec) for f in fields(cls)}
+        | {*RECORD_HEADER.split(","), "x"}
+    )
+
+    @staticmethod
+    def custom_config(topology) -> dict:
+        setup = {"kind": "custom", "topology": str(topology)}
+        return {"problem": {"kind": "mmdp", "k": 5}, "setup": setup, "repetitions": 1, "budget": 2_000}
+
+    @staticmethod
+    def inputs() -> list:
+        """(command, document) pairs: every desk config, every topology
+        file alone and in a `custom` setup, and a records file as a list
+        of rows."""
+        docs = []
+        runs = {"repetitions": 1, "budget": 2_000, "ga": {"pop_size": 64}, "sa": {"schedule": "fast"}}
+        for path in sorted(DESK.glob("*/*.yaml")):
+            docs.append(("run", yaml.safe_load(path.read_text()) | runs))
+        for path in sorted((REPO_ROOT / "topologies").glob("*.topology")):
+            docs.append(("validate-topology", yaml.safe_load(path.read_text())))
+            docs.append(("run", TestExitCodeFuzz.custom_config(path)))
+        rows = ((0, 900, 12.5, 5.0, 1), (1, 2_000, 30.0, 4.2, 0))
+        docs.append(("report", [dict(zip(RECORD_HEADER.split(","), row)) for row in rows]))
+        return docs
+
+    @staticmethod
+    def locations(doc, path=()):
+        """The key path of `doc` itself and of every value inside it."""
+        yield path
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+        for key, value in items:
+            yield from TestExitCodeFuzz.locations(value, (*path, key))
+
+    @staticmethod
+    def at(doc, path):
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    @staticmethod
+    def edited(doc, path, value):
+        """A copy of `doc` with `value` at `path`, which may be a new key."""
+        if not path:
+            return value
+        doc = copy.deepcopy(doc)
+        TestExitCodeFuzz.at(doc, path[:-1])[path[-1]] = value
+        return doc
+
+    @staticmethod
+    def write(command, doc, path: Path) -> Path:
+        """`doc` as the file `command` reads: YAML, or for `report` a
+        records file with one line per row."""
+        if command != "report":
+            path.write_text(yaml.safe_dump(doc))
+            return path
+        rows = doc if isinstance(doc, list) else [doc]
+        lines = (",".join(map(str, row.values())) if isinstance(row, dict) else str(row) for row in rows)
+        path.write_text("\n".join([RECORD_HEADER, *lines]) + "\n")
+        return path
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_exit_code_contract(self, workdir, data):
+        command, doc = data.draw(st.sampled_from(self.inputs()), label="input")
+        locations = list(self.locations(doc))
+        if data.draw(st.booleans(), label="insert a key"):
+            mapping = data.draw(st.sampled_from([p for p in locations if isinstance(self.at(doc, p), dict)]))
+            path = (*mapping, data.draw(st.sampled_from(self.KEYS), label="key"))
+        else:
+            path = data.draw(st.sampled_from(locations), label="path")
+        value = data.draw(st.sampled_from(self.POOL), label="value")
+        with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+            tmp = Path(tmp)
+            stand_in = {self.DIRECTORY: str(workdir), self.MISSING: str(tmp / "missing")}
+            if isinstance(value, str):
+                value = stand_in.get(value, value)
+            if not path and value in stand_in.values():
+                target = Path(value)  # the input file itself is a directory or missing
+            else:
+                target = self.write(command, self.edited(doc, path, value), tmp / "input")
+            out = ["--out", str(tmp / "out")]
+            if command == "run":
+                argvs = [["run", "--config", str(target), *out]]
+            elif command == "report":
+                argvs = [["report", str(target), "--sequential", str(target)]]
+            else:
+                cfg = self.write("run", self.custom_config(target), tmp / "custom.yaml")
+                argvs = [["validate-topology", str(target)], ["run", "--config", str(cfg), *out]]
+            for argv in argvs:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects the arguments
+                        code = exc.code
+                allowed = {0, 1, 2, 3} if argv[0] == "validate-topology" else {0, 2, 3}
+                assert code in allowed, (argv, err.getvalue())
+                assert "Traceback" not in err.getvalue()

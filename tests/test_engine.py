@@ -113,11 +113,12 @@ class TestVirtualScheduler:
 
 class TestInitializationCost:
     def test_per_node_costs(self):
-        assert initialization_cost(panmictic_topology("ssga"), None, None) == 64
-        assert initialization_cost(panmictic_topology("sa"), None, None) == 101
-        assert initialization_cost(panmictic_topology("sa"), None, SaParams(t0=2.0)) == 1
-        assert initialization_cost(ethane_topology("G"), GaParams(pop_size=8), None) == 2 * 8 + 6 * 101
-        assert initialization_cost(ethane_topology("S"), None, None) == 2 * 101 + 6 * 64
+        ga, sa = GaParams(), SaParams()
+        assert initialization_cost(panmictic_topology("ssga"), ga, sa) == 64
+        assert initialization_cost(panmictic_topology("sa"), ga, sa) == 101
+        assert initialization_cost(panmictic_topology("sa"), ga, SaParams(t0=2.0)) == 1
+        assert initialization_cost(ethane_topology("G"), GaParams(pop_size=8), sa) == 2 * 8 + 6 * 101
+        assert initialization_cost(ethane_topology("S"), ga, sa) == 2 * 101 + 6 * 64
 
     @pytest.mark.parametrize(
         "topology",
@@ -125,7 +126,7 @@ class TestInitializationCost:
         ids=["ethane_g", "ethane_s", "panmictic_ssga", "panmictic_sa"],
     )
     def test_budget_equal_to_cost_runs_init_only(self, topology):
-        cost = initialization_cost(topology, None, None)
+        cost = initialization_cost(topology, GaParams(), SaParams())
         res = run_experiment(
             RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost, seed=3)
         )

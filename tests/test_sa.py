@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hydrocm.ga import Individual
 from hydrocm import sa as sa_mod
 from hydrocm.engine import _SaIsland
 from hydrocm.problems import MmdpInstance, generate_ssp_instance, random_genome
@@ -119,21 +118,21 @@ class TestSaStep:
     def test_flat_landscape_all_moves_accepted(self):
         prob = ConstantProblem(length=8)
         state, params, rng = fresh_state(prob)
-        f0 = state.current.fitness
+        f0 = state.fitness
         for k in range(1, 20):
             sa_step(state, params, prob, rng)
             assert state.step == k
-            assert state.current.fitness == f0
-            assert state.best.fitness == f0
+            assert state.fitness == f0
+            assert state.best[1] == f0
 
     def test_best_never_decreases(self):
         prob = MmdpInstance(k=2)
         state, params, rng = fresh_state(prob, seed=3)
-        best = state.best.fitness
+        best = state.best[1]
         for _ in range(1_000):
             sa_step(state, params, prob, rng)
-            assert state.best.fitness >= best
-            best = state.best.fitness
+            assert state.best[1] >= best
+            best = state.best[1]
 
     def test_exactly_one_evaluation(self, counting):
         prob = counting(MmdpInstance(k=1))
@@ -153,7 +152,7 @@ class TestSaStep:
 
 
 class TestInPlaceMoves:
-    """`current.genome` is changed in place and owned by the state alone."""
+    """`state.genome` is changed in place and owned by the state alone."""
 
     @pytest.mark.parametrize(
         "problem", [MmdpInstance(k=5), generate_ssp_instance(64, seed=7)], ids=["mmdp5", "ssp64"]
@@ -178,11 +177,11 @@ class TestInPlaceMoves:
             if step % 500 == 499:
                 immigrant = random_genome(problem.length, immigrant_rng)
                 inject_immigrant(state, immigrant, problem, rng)
-                assert not np.shares_memory(state.current.genome, immigrant)
-            genome = state.current.genome
-            before, f_before = genome.copy(), state.current.fitness
+                assert not np.shares_memory(state.genome, immigrant)
+            genome = state.genome
+            before, f_before = genome.copy(), state.fitness
             sa_step(state, params, problem, rng)
-            assert state.current.genome is genome
+            assert state.genome is genome
             if verdicts[-1]:
                 expected = before.copy()
                 expected[moves[-1]] ^= 1
@@ -190,11 +189,11 @@ class TestInPlaceMoves:
             else:
                 rejected += 1
                 assert np.array_equal(genome, before)
-                assert state.current.fitness == f_before
-            assert state.current.fitness == problem.evaluate(genome)
+                assert state.fitness == f_before
+            assert state.fitness == problem.evaluate(genome)
             assert np.array_equal(state.tally, problem.tally(genome))
-            assert not np.shares_memory(state.best.genome, genome)
-            assert not np.shares_memory(state.best.copy().genome, genome)
+            assert not np.shares_memory(state.best[0], genome)
+            assert not np.shares_memory(state.best[0].copy(), genome)
         assert rejected > 1_000
 
 
@@ -204,12 +203,12 @@ class TestInjectImmigrant:
         state, params, rng = fresh_state(prob, seed=6)
         optimum = np.ones(6, dtype=np.uint8)
         inject_immigrant(state, optimum, prob, rng)
-        assert state.current.fitness == 1.0
-        assert state.best.fitness == 1.0
+        assert state.fitness == 1.0
+        assert state.best[1] == 1.0
 
     def test_much_worse_rejected_when_cold(self):
         rng = node_rng(7)
-        good = Individual(np.zeros(6, dtype=np.uint8), 10.0)
+        good = np.zeros(6, dtype=np.uint8)
 
         class TwoLevel:
             length = 6
@@ -231,19 +230,19 @@ class TestInjectImmigrant:
         rejected = 0
         trials = 10_000
         for _ in range(trials):
-            state = SaState(current=good.copy(), best=good.copy(), tally=None, t0=1.0, temperature=1e-6)
+            state = SaState(good.copy(), 10.0, None, (good.copy(), 10.0), t0=1.0, temperature=1e-6)
             inject_immigrant(state, np.ones(6, dtype=np.uint8), two, rng)
-            if state.current.fitness == 10.0:
+            if state.fitness == 10.0:
                 rejected += 1
         assert rejected / trials > 0.99
 
     def test_identical_immigrant_accepted_without_change(self):
         prob = MmdpInstance(k=1)
         state, params, rng = fresh_state(prob, seed=8)
-        before = state.current.fitness
-        inject_immigrant(state, state.current.genome.copy(), prob, rng)
-        assert state.current.fitness == before
-        assert state.best.fitness >= before
+        before = state.fitness
+        inject_immigrant(state, state.genome.copy(), prob, rng)
+        assert state.fitness == before
+        assert state.best[1] >= before
 
     def test_counts_one_evaluation(self, counting):
         prob = counting(MmdpInstance(k=1))
@@ -260,8 +259,8 @@ class TestInjectImmigrant:
 
 
 class TestSelectEmigrantSa:
-    """An SA island's emigrant is `(state.best.genome, state.best.fitness)`,
-    shared without a copy; `best` holds a read-only genome however it was
+    """An SA island's emigrant is `state.best` itself, a `(genome, fitness)`
+    pair shared without a copy; `best` holds a read-only genome however it was
     last set, so no receiver can change it."""
 
     @staticmethod
@@ -275,28 +274,29 @@ class TestSelectEmigrantSa:
     def assert_shares_read_only_best(island):
         genome, fitness = island.emigrant()
         best = island.state.best
-        assert genome is best.genome and fitness == best.fitness
+        assert island.emigrant() is best
+        assert genome is best[0] and fitness == best[1]
         assert not genome.flags.writeable
-        assert not np.shares_memory(genome, island.state.current.genome)
+        assert not np.shares_memory(genome, island.state.genome)
         return genome
 
     def test_fresh_state_returns_current(self):
         island = self.island(MmdpInstance(k=1), seed=11)
         genome = self.assert_shares_read_only_best(island)
-        assert island.emigrant()[1] == island.state.current.fitness
-        assert np.array_equal(genome, island.state.current.genome)
+        assert island.emigrant()[1] == island.state.fitness
+        assert np.array_equal(genome, island.state.genome)
 
     def test_returns_best_after_improvement(self):
         island = self.island(MmdpInstance(k=4), seed=12)
         first = island.state.best
         for _ in range(200):
             island.step()
-        assert island.state.best.fitness > first.fitness  # sa_step set a new best
+        assert island.state.best[1] > first[1]  # sa_step set a new best
         self.assert_shares_read_only_best(island)
-        assert island.state.best.fitness < 4.0
+        assert island.state.best[1] < 4.0
         optimum = np.ones(24, dtype=np.uint8)
         island._apply_immigrant((optimum, 4.0))
-        assert island.state.best.fitness == 4.0  # inject_immigrant set a new best
+        assert island.state.best[1] == 4.0  # inject_immigrant set a new best
         genome = self.assert_shares_read_only_best(island)
         assert not np.shares_memory(genome, optimum)
 
@@ -306,7 +306,7 @@ class TestSelectEmigrantSa:
         before = genome.copy()
         with pytest.raises(ValueError):
             genome[:] = 1
-        assert np.array_equal(island.state.best.genome, before)
+        assert np.array_equal(island.state.best[0], before)
 
 
 class TestRunPanmicticSa:
