@@ -5,12 +5,13 @@ benchmark's own rules.
 Usage:
     python3 scripts/pairs.py REF WORKLOAD [--pairs N] [--seed S]
 
-REF is the git revision to compare against (the parent). It is checked out
-with `git worktree add --detach` into a temporary directory, which is
-removed again however the script ends. Each pair runs `perfbench/run.py
---workload WORKLOAD --seed S --seconds T --trace 0` once in REF's tree and
-once in the working tree, each to completion before the next starts; the
-side that goes first alternates from pair to pair. T is BENCHMARK.json's
+REF is the git revision to compare against (the parent). Its tree is
+extracted with `git archive` into a temporary directory, which is removed
+again however the script ends; the repository itself is left as it is.
+Each pair runs `perfbench/run.py --workload WORKLOAD --seed S --seconds T
+--trace 0` once in REF's tree and once in the working tree, each to
+completion before the next starts; the side that goes first alternates
+from pair to pair. T is BENCHMARK.json's
 `run_seconds`; N defaults to 10 and S to 0.
 
 The script refuses (exit 2) when `perfbench/` or `BENCHMARK.json` differ
@@ -36,11 +37,13 @@ every run's value of each metric, pair by pair.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -154,10 +157,12 @@ def main(argv=None) -> int:
     parent_tree = tmp / "parent"
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     try:
-        added = git("worktree", "add", "--detach", str(parent_tree), args.ref)
-        if added.returncode != 0:
-            print(f"error: git worktree add failed: {added.stderr.strip()}", file=sys.stderr)
+        archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, capture_output=True)
+        if archive.returncode != 0:
+            print(f"error: git archive failed: {archive.stderr.decode().strip()}", file=sys.stderr)
             return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(parent_tree, filter="data")
         trees = {"parent": parent_tree, "change": ROOT}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -165,9 +170,7 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(trees[side], args.workload, args.seed, seconds))
             print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
     finally:
-        git("worktree", "remove", "--force", str(parent_tree))
         shutil.rmtree(tmp, ignore_errors=True)
-        git("worktree", "prune")
 
     print(f"{args.workload}: {args.pairs} alternating pairs, {args.ref} vs working tree, seed {args.seed}, {seconds} s")
     counts = {side: (sum(r["failed"] for r in runs[side]), sum(r["attempted"] for r in runs[side])) for side in runs}

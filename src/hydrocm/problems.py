@@ -5,9 +5,9 @@ All operations are pure; genomes are 1-D numpy uint8 arrays of 0/1.
 
 Besides `evaluate`, each instance offers a tally: an additive summary of
 a genome from which its fitness follows exactly. `tally(genome)` computes
-it, `flip(tally, genome, positions)` updates it for flipped bits without
-touching the genome, and `fitness_of(tally)` equals `evaluate` on the
-genome bit for bit. The annealer scores its moves this way.
+it, `flip(tally, genome, positions)` gives it for flipped bits without
+touching the tally or the genome, and `fitness_of(tally)` equals
+`evaluate` on the genome bit for bit. The annealer scores its moves this way.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ OPTIMUM_EPS = 1e-9
 #: Inclusive weight range for generated subset-sum instances.
 WEIGHT_MAX = 10_000
 
-#: Bipolar deception subfunction, indexed by the unitation of a 6-bit block.
-#: Fully deceptive: the two optima sit at unitation 0 and 6 while the
-#: gradient of the interior points toward the center.
-_MMDP_SUBFUNCTION = np.array(
-    [1.000000, 0.000000, 0.360384, 0.640576, 0.360384, 0.000000, 1.000000]
-)
+#: Bipolar deception subfunction in integer millionths, indexed by the unitation
+#: of a 6-bit block; fully deceptive, with optima at unitation 0 and 6. A block
+#: sum in millionths is exact in any order, so MMDP fitness, that sum divided
+#: once by 1e6, is the same float for genomes of the same true value.
+_MMDP_MILLIONTHS = [1_000_000, 0, 360_384, 640_576, 360_384, 0, 1_000_000]
+_MMDP_MILLIONTHS_F64 = np.array(_MMDP_MILLIONTHS, dtype=np.float64)  # sums exact below 2**53
 
 MMDP_BLOCK_BITS = 6
 
@@ -62,32 +62,38 @@ class MmdpInstance:
     def evaluate(self, genome: Genome) -> float:
         """Sum of the deception subfunction over consecutive disjoint 6-bit
         blocks."""
-        # the bodies of `tally` and `fitness_of`, inlined: this is the hot
-        # full evaluation
         if genome.shape[0] != self.length:
             raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
         unitation = genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES)
-        return float(np.add.reduce(_MMDP_SUBFUNCTION.take(unitation)))
+        return float(np.add.reduce(_MMDP_MILLIONTHS_F64.take(unitation))) / 1e6
 
-    def tally(self, genome: Genome) -> np.ndarray:
-        """Unitation of each 6-bit block, a uint8 vector of length k."""
+    def tally(self, genome: Genome) -> list[int]:
+        """The unitation of each 6-bit block, followed by the sum of their
+        subfunction values in millionths, as one list of k + 1 ints."""
         if genome.shape[0] != self.length:
             raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
-        return genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES)
-
-    def flip(self, tally: np.ndarray, genome: Genome, positions) -> np.ndarray:
-        """Tally of `genome` with the distinct `positions` flipped, as a new
-        vector; `tally` and `genome` are left as they are."""
-        out = tally.copy()
-        u, bits = memoryview(out), memoryview(genome)
-        for i in positions:
-            u[i // MMDP_BLOCK_BITS] += -1 if bits[i] else 1
+        out = genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES).tolist()
+        out.append(sum(_MMDP_MILLIONTHS[u] for u in out))
         return out
 
-    def fitness_of(self, tally: np.ndarray) -> float:
-        """Sum of the deception subfunction over the block unitations."""
-        # np.add.reduce is what ndarray.sum calls: the same pairwise float sum
-        return float(np.add.reduce(_MMDP_SUBFUNCTION.take(tally)))
+    def flip(self, tally: list[int], genome: Genome, positions) -> list[int]:
+        """Tally of `genome` with the distinct `positions` flipped, as a new
+        list: each flip moves its block's unitation by one and the sum by
+        the table difference."""
+        out = tally.copy()
+        table, bits = _MMDP_MILLIONTHS, memoryview(genome)
+        total = out[-1]
+        for i in positions:
+            b = i // MMDP_BLOCK_BITS
+            u = out[b]
+            v = out[b] = u - 1 if bits[i] else u + 1
+            total += table[v] - table[u]
+        out[-1] = total
+        return out
+
+    def fitness_of(self, tally: list[int]) -> float:
+        """The block sum in millionths, divided once by 1e6."""
+        return tally[-1] / 1e6
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,8 @@ SCHEDULES = ("fast", "geometric")
 #: scales acceptance to the problem's fitness range.
 T0_SAMPLES = 100
 
+_MIN_TEMPERATURE = math.ulp(0.0)  # the smallest positive float, every schedule's floor
+
 
 @dataclass(frozen=True)
 class SaParams:
@@ -111,7 +113,7 @@ def update_temperature(t0: float, step: int, params: SaParams) -> float:
         t = t0 / (1.0 + params.schedule_rate * step)
     else:
         t = t0 * params.schedule_rate**step
-    return max(t, math.ulp(0.0))
+    return t if t > _MIN_TEMPERATURE else _MIN_TEMPERATURE
 
 
 def estimate_t0(problem, rng) -> float:

@@ -405,6 +405,37 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestOutputIoFailure:
+    """An `--out` that cannot be written is an I/O failure: exit 3 with
+    `error: I/O failure: ...` on stderr and no traceback."""
+
+    RECORDS = "seed,evaluations,elapsed_ms,best,success\n0,10,5.0,2.0,1\n"
+
+    @staticmethod
+    def assert_io_failure(argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: I/O failure: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["existing-file", "below-a-file"])
+    def test_run_out(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path / "exp.yaml", repetitions=1, budget=200)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "existing-file" else blocker / "out"
+        self.assert_io_failure(["run", "--config", str(cfg), "--out", str(out)], capsys)
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_report_out(self, tmp_path, capsys, where):
+        records = tmp_path / "r.csv"
+        records.write_text(self.RECORDS)
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "report.csv"
+        self.assert_io_failure(["report", str(records), "--out", str(out)], capsys)
+        assert not (tmp_path / "missing").exists()
+
+
 class TestReport:
     def make_records(self, tmp_path):
         cfg = write_config(tmp_path / "a.yaml", repetitions=4, budget=30_000)

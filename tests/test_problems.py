@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrocm.problems import (
-    _MMDP_SUBFUNCTION,
     MmdpInstance,
     SubsetSumInstance,
     generate_ssp_instance,
@@ -40,6 +39,9 @@ genomes = st.lists(st.integers(0, 1), min_size=1, max_size=96).map(
 
 ONE_BLOCK = MmdpInstance(k=1)
 
+#: The MMDP subfunction in integer millionths, by block unitation.
+MILLIONTHS = [1_000_000, 0, 360_384, 640_576, 360_384, 0, 1_000_000]
+
 
 def block(u):
     """A 6-bit genome of unitation `u`."""
@@ -47,14 +49,17 @@ def block(u):
 
 
 class TestUnitation:
+    """The MMDP tally: each block's unitation, then the subfunction sum in
+    millionths."""
+
     def test_counts_ones(self):
-        assert ONE_BLOCK.tally(bits("111000")).tolist() == [3]
+        assert ONE_BLOCK.tally(bits("111000")) == [3, 640_576]
 
     def test_zero(self):
-        assert ONE_BLOCK.tally(bits("000000")).tolist() == [0]
+        assert ONE_BLOCK.tally(bits("000000")) == [0, 1_000_000]
 
     def test_saturated(self):
-        assert ONE_BLOCK.tally(bits("111111")).tolist() == [6]
+        assert ONE_BLOCK.tally(bits("111111")) == [6, 1_000_000]
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -70,7 +75,7 @@ class TestMmdpSubfunction:
     @pytest.mark.parametrize("u", range(7))
     def test_symmetric(self, u):
         complement = 1 - block(u)
-        assert ONE_BLOCK.tally(complement).tolist() == [6 - u]
+        assert ONE_BLOCK.tally(complement) == [6 - u, MILLIONTHS[u]]
         assert ONE_BLOCK.evaluate(block(u)) == ONE_BLOCK.fitness_of(ONE_BLOCK.tally(complement))
 
 
@@ -139,6 +144,10 @@ class TestTally:
             st.one_of(
                 st.sets(st.integers(0, n - 1), max_size=min(n, 12)).map(sorted),
                 st.just(list(range(n))),
+                # a run of neighbours: several flips in one MMDP block
+                st.tuples(st.integers(0, n - 1), st.integers(2, 14)).map(
+                    lambda run: list(range(run[0], min(n, run[0] + run[1])))
+                ),
             )
         )
         g_before = g.copy()
@@ -147,9 +156,17 @@ class TestTally:
         moved = inst.flip(t, g, positions)
         assert inst.fitness_of(moved).hex() == inst.evaluate(flipped(g, positions)).hex()
         assert inst.fitness_of(t).hex() == inst.evaluate(g).hex()
-        assert np.array_equal(inst.tally(flipped(g, positions)), moved)
+        assert inst.tally(flipped(g, positions)) == moved
         assert np.array_equal(g, g_before)
-        assert np.array_equal(t, t_before)
+        assert t == t_before
+
+    def test_mmdp_several_flips_in_one_block(self):
+        inst = MmdpInstance(k=2)
+        g = bits("110000" "111111")
+        # block 0 goes 2 -> 4 ones, block 1 goes 6 -> 3
+        moved = inst.flip(inst.tally(g), g, [2, 3, 6, 7, 8])
+        assert moved == [4, 3, 360_384 + 640_576]
+        assert inst.fitness_of(moved) == inst.evaluate(bits("111100" "000111")) == 1.00096
 
     @pytest.mark.parametrize("name", ["ssp16", "ssp64", "ssp2048"])
     def test_ssp_flips_across_capacity(self, name):
@@ -174,15 +191,19 @@ class TestTally:
             inst.tally(np.zeros(inst.length + delta, np.uint8))
 
 
+def permuted_blocks(g, order):
+    return g.reshape(-1, 6)[order].ravel()
+
+
 class TestFitnessBitIdentity:
     """The fitness functions must return the same doubles as the plain
-    numpy expressions they replaced, or golden records would drift."""
+    expressions they stand for, or golden records would drift."""
 
     @pytest.mark.parametrize("k", [1, 5, 8, 9, 25])  # around numpy's 8-way pairwise sum
     @given(data=st.data())
     def test_mmdp_equals_block_sum_reference(self, k, data):
         g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
-        reference = float(_MMDP_SUBFUNCTION.take(g.reshape(k, 6).sum(axis=1)).sum())
+        reference = sum(MILLIONTHS[int(b.sum())] for b in g.reshape(k, 6)) / 1e6
         assert MmdpInstance(k=k).evaluate(g).hex() == reference.hex()
 
     @staticmethod
@@ -216,6 +237,28 @@ class TestFitnessBitIdentity:
             over += int(inst.weights @ g) > inst.capacity
             assert inst.evaluate(g) == self.ssp_reference(g, inst)
         assert over >= 50
+
+
+class TestMmdpBlockOrder:
+    """MMDP fitness is a sum over blocks, so it cannot depend on their
+    order: two genomes of equal true fitness must compare equal, or the
+    ssGA's replace test and the SA's equal moves settle ties by rounding."""
+
+    @given(st.integers(1, 25), st.data())
+    def test_block_permutation_leaves_evaluate_equal(self, k, data):
+        g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
+        order = data.draw(st.permutations(range(k)))
+        inst = MmdpInstance(k=k)
+        assert inst.evaluate(permuted_blocks(g, order)).hex() == inst.evaluate(g).hex()
+
+    @pytest.mark.parametrize("k", [5, 12, 25])
+    def test_no_permutation_changes_value_in_3000_genomes(self, k):
+        inst, rng = MmdpInstance(k=k), np.random.default_rng(k)
+        changed = 0
+        for _ in range(3000):
+            g = random_genome(inst.length, rng)
+            changed += inst.evaluate(permuted_blocks(g, rng.permutation(k))) != inst.evaluate(g)
+        assert changed == 0
 
 
 class TestSspFitness:

@@ -12,9 +12,6 @@ table caps a gap (`seeding._GAP_CAP`) and the plain expression does not.
 import dataclasses
 import itertools
 
-import numpy as np
-import pytest
-
 from hydrocm.engine import RunConfig, run_experiment
 from hydrocm.ga import GaParams
 from hydrocm.problems import MmdpInstance, generate_ssp_instance
@@ -104,9 +101,3 @@ def test_grid_matches_the_reference():
     assert any(s["messages_dropped"] > 0 for s in stats)
     assert any(s["immigrants_received"] > 0 for s in stats)
 
-
-@pytest.mark.parametrize("shape", [7, (3, 7)])
-def test_reference_rng_draws_genomes_as_numpy(shape):
-    ours, numpy_rng = reference.Rng(np.random.default_rng(3)), np.random.default_rng(3)
-    numpy_rng.random(reference.BLOCK)
-    assert np.array_equal(ours.genomes(shape), numpy_rng.integers(0, 2, size=shape, dtype=np.uint8))

@@ -155,7 +155,9 @@ class TestInPlaceMoves:
     """`state.genome` is changed in place and owned by the state alone."""
 
     @pytest.mark.parametrize(
-        "problem", [MmdpInstance(k=5), generate_ssp_instance(64, seed=7)], ids=["mmdp5", "ssp64"]
+        "problem",
+        [MmdpInstance(k=5), MmdpInstance(k=25), generate_ssp_instance(64, seed=7)],
+        ids=["mmdp5", "mmdp25", "ssp64"],
     )
     def test_moves_and_tally_over_many_steps(self, problem, monkeypatch):
         moves, verdicts = [], []
@@ -191,7 +193,7 @@ class TestInPlaceMoves:
                 assert np.array_equal(genome, before)
                 assert state.fitness == f_before
             assert state.fitness == problem.evaluate(genome)
-            assert np.array_equal(state.tally, problem.tally(genome))
+            assert state.tally == problem.tally(genome)
             assert not np.shares_memory(state.best[0], genome)
             assert not np.shares_memory(state.best[0].copy(), genome)
         assert rejected > 1_000
