@@ -245,7 +245,7 @@ def cmd_run(args) -> int:
         overrides["budget"] = args.budget
     try:
         cfg = load_experiment_config(args.config, overrides)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # a size too large to allocate is an input error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -266,6 +266,9 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     print(",".join(["algorithm", "problem", *SUMMARY_COLUMNS]))
     print(",".join([cfg.setup, cfg.problem_label, *summary_cells(summarize_experiment(rows))]))

@@ -101,8 +101,9 @@ class RunConfig:
 
 class _Island:
     """One node's algorithm loop plus its migration endpoints. `initialize`
-    creates the algorithm's state (`pop` or `state`) and defines
-    `best_fitness`, the best fitness the node has seen."""
+    creates the algorithm's state (`pop` or `state`) and returns its cost
+    and best fitness. The node counts only its `iterations` and applied
+    `immigrants`; `stats` derives the rest when the run ends."""
 
     immigrant_costs_eval = False
 
@@ -113,7 +114,8 @@ class _Island:
         self.params = params
         self.out_channels: list[Channel] = []
         self.in_channels: list[Channel] = []
-        self.stats = IslandStats()
+        self.iterations = 0
+        self.immigrants = 0
 
     def migrate(self, room: int) -> int:
         """Append `channel.batch` emigrants to every outgoing channel, then
@@ -127,7 +129,6 @@ class _Island:
             for _ in range(channel.batch):
                 channel.append(self.emigrant())
             channel.sent += channel.batch
-            self.stats.emigrants_sent += channel.batch
         costs = self.immigrant_costs_eval
         spent = 0
         for channel in self.in_channels:
@@ -137,52 +138,50 @@ class _Island:
                         return spent
                     spent += 1
                 self._apply_immigrant(channel.popleft())
+                self.immigrants += 1
         return spent
+
+    def stats(self, init_cost: int) -> IslandStats:
+        """The node's counters at the end of a run in which initializing it
+        cost `init_cost` evaluations (0 if the run never initialized it)."""
+        immigrants = self.immigrants
+        # a migrant sent here was applied, dropped, or is still queued
+        gone = sum(ch.sent - len(ch) for ch in self.in_channels)
+        return IslandStats(
+            evaluations=init_cost + self.iterations + (immigrants if self.immigrant_costs_eval else 0),
+            iterations=self.iterations,
+            emigrants_sent=sum(ch.sent for ch in self.out_channels),
+            immigrants_received=immigrants,
+            messages_dropped=gone - immigrants,
+        )
 
 
 class _GaIsland(_Island):
-    def initialize(self) -> int:
+    def initialize(self) -> tuple[int, float]:
         self.pop = ga_mod.init_population(self.params, self.problem, self.rng)
-        self.best_fitness = self.pop.best_fitness()
-        self.stats.evaluations += self.pop.size
-        return self.pop.size
+        return self.pop.size, self.pop.best_fitness()
 
     def step(self) -> float:
-        f = ga_mod._offspring_step(self.pop, self.params, self.problem, self.rng)
-        stats = self.stats
-        stats.evaluations += 1
-        stats.iterations += 1
-        if f > self.best_fitness:
-            self.best_fitness = f
-        return f
+        self.iterations += 1
+        return ga_mod._offspring_step(self.pop, self.params, self.problem, self.rng)
 
     def emigrant(self) -> tuple[Genome, float]:
         return ga_mod.select_emigrant(self.pop, self.rng)
 
     def _apply_immigrant(self, msg: tuple[Genome, float]) -> None:
-        genome, fitness = msg
-        self.pop.replace_worst(genome, fitness)
-        self.stats.immigrants_received += 1
-        if fitness > self.best_fitness:
-            self.best_fitness = fitness
+        self.pop.replace_worst(*msg)
 
 
 class _SaIsland(_Island):
     immigrant_costs_eval = True
 
-    @property
-    def best_fitness(self) -> float:
-        return self.state.best[1]
-
-    def initialize(self) -> int:
+    def initialize(self) -> tuple[int, float]:
         self.state = sa_mod.init_sa_state(self.params, self.problem, self.rng)
-        self.stats.evaluations += self.params.init_evaluations
-        return self.params.init_evaluations
+        return self.params.init_evaluations, self.state.best[1]
 
     def step(self) -> float:
         sa_mod.sa_step(self.state, self.params, self.problem, self.rng)
-        self.stats.evaluations += 1
-        self.stats.iterations += 1
+        self.iterations += 1
         return self.state.best[1]
 
     def emigrant(self) -> tuple[Genome, float]:
@@ -190,8 +189,6 @@ class _SaIsland(_Island):
 
     def _apply_immigrant(self, msg: tuple[Genome, float]) -> None:
         sa_mod.inject_immigrant(self.state, msg[0], self.problem, self.rng)
-        self.stats.evaluations += 1
-        self.stats.immigrants_received += 1
 
 
 def initialization_cost(topology: TopologySpec, ga: GaParams, sa: SaParams) -> int:
@@ -244,10 +241,11 @@ def run_experiment(config: RunConfig) -> RunResult:
     used = 0
 
     global_best = -math.inf
-    for island in islands:
-        used += island.initialize()
-        if island.best_fitness > global_best:
-            global_best = island.best_fitness
+    init_costs = [0] * len(islands)
+    for i, island in enumerate(islands):
+        init_costs[i], best = island.initialize()
+        used += init_costs[i]
+        global_best = max(global_best, best)
         if is_optimum(global_best, problem):
             break
     trace = [(0.0, global_best)]
@@ -268,21 +266,11 @@ def run_experiment(config: RunConfig) -> RunResult:
                 trace.append((scheduler.ticks(micro), global_best))
                 if is_optimum(global_best, problem):
                     break
-            if island.stats.iterations % freq == 0:
+            # an immigrant's fitness came from an initialization or a step
+            # already folded in above, so migration cannot raise global_best
+            if island.iterations % freq == 0:
                 used += island.migrate(limit - used)
-                # global_best is below the optimum here unless it just rose
-                if island.best_fitness > global_best:
-                    global_best = island.best_fitness
-                    trace.append((scheduler.ticks(micro), global_best))
-                    if is_optimum(global_best, problem):
-                        break
 
-    per_island = {}
-    for island in islands:
-        # a migrant sent here was applied, dropped, or is still queued
-        gone = sum(ch.sent - len(ch) for ch in island.in_channels)
-        island.stats.messages_dropped = gone - island.stats.immigrants_received
-        per_island[island.node.id] = island.stats
     return RunResult(
         seed=config.seed,
         evaluations=used,
@@ -290,5 +278,5 @@ def run_experiment(config: RunConfig) -> RunResult:
         best=global_best,
         success=is_optimum(global_best, problem),
         trace=trace,
-        per_island=per_island,
+        per_island={isl.node.id: isl.stats(cost) for isl, cost in zip(islands, init_costs)},
     )

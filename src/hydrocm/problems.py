@@ -3,11 +3,13 @@ multimodal deceptive problem (MMDP), plus seeded instance generation.
 
 All operations are pure; genomes are 1-D numpy uint8 arrays of 0/1.
 
-Besides `evaluate`, each instance offers a tally: an additive summary of
-a genome from which its fitness follows exactly. `tally(genome)` computes
-it, `flip(tally, genome, positions)` gives it for flipped bits without
-touching the tally or the genome, and `fitness_of(tally)` equals
-`evaluate` on the genome bit for bit. The annealer scores its moves this way.
+Each instance scores a genome through a tally: an additive summary from
+which its fitness follows exactly. `tally(genome)` computes it,
+`flip(tally, genome, positions)` gives it for flipped bits without
+touching the tally or the genome, and `fitness_of(tally)` maps it to the
+fitness. `evaluate(genome)` is defined as `fitness_of(tally(genome))`, so
+the annealer, which scores its moves from a kept tally, and a full
+evaluation give the same float.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ WEIGHT_MAX = 10_000
 #: sum in millionths is exact in any order, so MMDP fitness, that sum divided
 #: once by 1e6, is the same float for genomes of the same true value.
 _MMDP_MILLIONTHS = [1_000_000, 0, 360_384, 640_576, 360_384, 0, 1_000_000]
-_MMDP_MILLIONTHS_F64 = np.array(_MMDP_MILLIONTHS, dtype=np.float64)  # sums exact below 2**53
 
 MMDP_BLOCK_BITS = 6
 
@@ -62,10 +63,7 @@ class MmdpInstance:
     def evaluate(self, genome: Genome) -> float:
         """Sum of the deception subfunction over consecutive disjoint 6-bit
         blocks."""
-        if genome.shape[0] != self.length:
-            raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
-        unitation = genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES)
-        return float(np.add.reduce(_MMDP_MILLIONTHS_F64.take(unitation))) / 1e6
+        return self.fitness_of(self.tally(genome))
 
     def tally(self, genome: Genome) -> list[int]:
         """The unitation of each 6-bit block, followed by the sum of their
@@ -73,7 +71,7 @@ class MmdpInstance:
         if genome.shape[0] != self.length:
             raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
         out = genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES).tolist()
-        out.append(sum(_MMDP_MILLIONTHS[u] for u in out))
+        out.append(sum(map(_MMDP_MILLIONTHS.__getitem__, out)))
         return out
 
     def flip(self, tally: list[int], genome: Genome, positions) -> list[int]:
@@ -134,10 +132,7 @@ class SubsetSumInstance:
     def evaluate(self, genome: Genome) -> float:
         """Subset sum with a reflected over-capacity penalty; see
         `fitness_of`."""
-        # the body of `tally`, inlined: this is the hot full evaluation
-        if genome.shape[0] != self.length:
-            raise ValueError(f"genome length {genome.shape[0]} != {self.length} weights")
-        return self.fitness_of(int(self.weights_f64.dot(genome)))
+        return self.fitness_of(self.tally(genome))
 
     def tally(self, genome: Genome) -> int:
         """The subset sum of `genome`."""

@@ -17,15 +17,15 @@ RECORD_HEADER = "seed,evaluations,elapsed_ms,best,success"
 DECIMAL = re.compile(r"-?[0-9]+")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class IslandStats:
-    """Per-node counters aggregated into a RunResult."""
+    """One node's counters over a run, derived once when the run ends."""
 
-    evaluations: int = 0
-    iterations: int = 0
-    emigrants_sent: int = 0
-    immigrants_received: int = 0
-    messages_dropped: int = 0
+    evaluations: int
+    iterations: int
+    emigrants_sent: int
+    immigrants_received: int
+    messages_dropped: int
 
 
 @dataclass(frozen=True)

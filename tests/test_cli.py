@@ -436,6 +436,28 @@ class TestOutputIoFailure:
         assert not (tmp_path / "missing").exists()
 
 
+class TestUnallocatableSize:
+    """A problem size past the address space is an input error: exit 2 with
+    `error: ...` on stderr and no traceback. An SSP instance is drawn while
+    the config loads, an MMDP population in the first repetition, after
+    `--out` exists. Both sizes fail at once; never put a size here that can
+    be allocated (k = 10**8 is about 38 GB)."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [{"kind": "mmdp", "k": 1_000_000_000_000_000}, {"kind": "ssp", "n": 1_000_000_000_000_000, "seed": 1}],
+        ids=["mmdp-in-repetition", "ssp-in-config-load"],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, capsys, problem):
+        cfg = write_config(tmp_path / "exp.yaml", problem=problem, repetitions=1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err
+        assert "Traceback" not in err
+        assert out.exists() == (problem["kind"] == "mmdp")
+
+
 class TestReport:
     def make_records(self, tmp_path):
         cfg = write_config(tmp_path / "a.yaml", repetitions=4, budget=30_000)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from hydrocm.engine import (
     run_experiment,
 )
 from hydrocm.ga import GaParams
-from hydrocm.problems import MmdpInstance, is_optimum
+from hydrocm.problems import MmdpInstance, generate_ssp_instance, is_optimum
 from hydrocm.sa import SaParams
 from hydrocm.topology import (
     BondSpec,
@@ -176,6 +178,64 @@ class TestExactBudget:
         assert any(0 < spent == room for room, spent in drains)
 
 
+class TestMigrantsNeverRaiseTheBest:
+    """A migrant's fitness is a full evaluation of its genome, and no more
+    than the best fitness that some `initialize` or `step` has returned so
+    far. The loop folds each of those into the global best, so no
+    immigrant can raise it and `run_experiment` checks nothing after a
+    migration."""
+
+    @pytest.mark.parametrize("freq, count", [(1, 9), (3, 1)])
+    @pytest.mark.parametrize(
+        "problem", [MmdpInstance(k=6), generate_ssp_instance(64, seed=7)], ids=["mmdp6", "ssp64"]
+    )
+    @pytest.mark.parametrize(
+        "topology",
+        [ethane_topology("G"), ethane_topology("S"), ring_topology(8, {0, 3})],
+        ids=["ethane_g", "ethane_s", "ring8"],
+    )
+    def test_migrant_within_the_running_best(self, topology, problem, freq, count, monkeypatch):
+        best = [-math.inf]  # the running max over every initialize and step
+        applied = [0]
+
+        def tracked(method, fitness):
+            def wrapper(island):
+                out = method(island)
+                best[0] = max(best[0], fitness(out))
+                return out
+
+            return wrapper
+
+        def checked(apply):
+            def wrapper(island, msg):
+                genome, fitness = msg
+                assert fitness == problem.evaluate(genome)
+                assert fitness <= best[0]
+                applied[0] += 1
+                return apply(island, msg)
+
+            return wrapper
+
+        for cls in (engine._GaIsland, engine._SaIsland):
+            monkeypatch.setattr(cls, "initialize", tracked(cls.initialize, lambda out: out[1]))
+            monkeypatch.setattr(cls, "step", tracked(cls.step, lambda out: out))
+            monkeypatch.setattr(cls, "_apply_immigrant", checked(cls._apply_immigrant))
+        for seed in (0, 1):
+            best[0] = -math.inf
+            res = run_experiment(
+                RunConfig(
+                    topology=topology,
+                    problem=problem,
+                    evaluation_budget=3_000,
+                    seed=seed,
+                    migration_frequency=freq,
+                    migration_count=count,
+                )
+            )
+            assert res.best == best[0]
+        assert applied[0] > 0
+
+
 class TestRunExperiment:
     def test_replay_determinism(self):
         config = dict(
@@ -272,6 +332,22 @@ class TestRunExperiment:
         )
         assert res.success
         assert res.evaluations < 1_000_000
+        # seed 0 solves while initializing: the nodes after the solving one
+        # never initialize and count nothing, and every count is derived at
+        # the end of the run from what each node did
+        for setup, init_evaluations in (("G", {"C0": 64}), ("S", {"C0": 101, "C1": 101, "H0": 64})):
+            res = run_experiment(
+                RunConfig(
+                    topology=ethane_topology(setup),
+                    problem=MmdpInstance(k=1),
+                    evaluation_budget=1_000_000,
+                    seed=0,
+                )
+            )
+            assert res.success and res.elapsed_ms == 0.0 and res.trace == [(0.0, 1.0)]
+            got = {node: dataclasses.astuple(s) for node, s in res.per_island.items()}
+            assert got == {node: (init_evaluations.get(node, 0), 0, 0, 0, 0) for node in got}
+            assert res.evaluations == sum(init_evaluations.values())
 
     def test_invalid_topology_rejected(self):
         bad = TopologySpec(
