@@ -36,7 +36,11 @@ _MMDP_MILLIONTHS = [1_000_000, 0, 360_384, 640_576, 360_384, 0, 1_000_000]
 
 MMDP_BLOCK_BITS = 6
 
-_BLOCK_ONES = np.ones(MMDP_BLOCK_BITS, dtype=np.uint8)
+#: One 1-byte per bit of a block. Multiplying a genome's bytes, read as one
+#: little-endian integer, by it puts the sum of bytes 6b .. 6b + 5 in byte
+#: 6b + 5 of the product; each such sum is at most 6, so no carry crosses
+#: a byte.
+_SIX_ONES = 0x01_01_01_01_01_01
 
 
 def random_genome(length: int, rng) -> Genome:
@@ -67,10 +71,15 @@ class MmdpInstance:
 
     def tally(self, genome: Genome) -> list[int]:
         """The unitation of each 6-bit block, followed by the sum of their
-        subfunction values in millionths, as one list of k + 1 ints."""
-        if genome.shape[0] != self.length:
-            raise ValueError(f"genome length {genome.shape[0]} != {self.length} (k={self.k})")
-        out = genome.reshape(self.k, MMDP_BLOCK_BITS).dot(_BLOCK_ONES).tolist()
+        subfunction values in millionths, as one list of k + 1 ints.
+
+        One big-integer multiply by `_SIX_ONES` sums every block at once.
+        The genome must hold one byte per bit (uint8 or bool)."""
+        data = genome.tobytes()
+        if len(data) != self.length:
+            raise ValueError(f"genome of {len(data)} bytes != {self.length}, one byte per bit (k={self.k})")
+        spread = int.from_bytes(data, "little") * _SIX_ONES
+        out = list(spread.to_bytes(self.length + 6, "little")[5 : self.length : 6])
         out.append(sum(map(_MMDP_MILLIONTHS.__getitem__, out)))
         return out
 

@@ -11,14 +11,17 @@ Determinism sections with no speed tricks:
   generator at once, so where a block is fetched decides where each
   `integers` draw falls in the stream;
 - each flip gap as `1 + int(log(1 - u) / log1p(-p))`, with no table;
-- a full `evaluate` of a copied candidate per annealing move, with no
-  tally;
+- every fitness scored here by `score`, not by the problem's own
+  `evaluate`: MMDP as numpy per-block sums looked up in a table of
+  integer millionths, summed and divided once by 1e6; SSP as an int64 dot
+  product with the reflected over-capacity penalty;
+- a full score of a copied candidate per annealing move, with no tally;
 - a `Fraction` clock per node and a linear scan for the next event (the
   earliest time, ties to the lowest node index), with no heap;
 - list channels that drop the oldest migrant past 8.
 
-Only the configuration, the parameter classes and the problems come from
-`hydrocm`. Topologies must be valid and the budget must pay for
+Only the configuration, the parameter classes and the problem instances
+(their sizes, weights and capacity) come from `hydrocm`. Topologies must be valid and the budget must pay for
 initializing every node; the engine checks both, this module does not.
 """
 
@@ -29,11 +32,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from hydrocm.problems import is_optimum
+from hydrocm.problems import MmdpInstance, is_optimum
 
 BLOCK = 1024
 CHANNEL_CAPACITY = 8
 T0_SAMPLES = 100
+#: The MMDP subfunction in integer millionths, by block unitation
+MMDP_MILLIONTHS = [1_000_000, 0, 360_384, 640_576, 360_384, 0, 1_000_000]
+
+
+def score(problem, genome: np.ndarray) -> float:
+    """The fitness of `genome` under `problem`."""
+    if isinstance(problem, MmdpInstance):
+        units = genome.reshape(problem.k, 6).sum(axis=1).tolist()
+        return sum(MMDP_MILLIONTHS[u] for u in units) / 1e6
+    s = int(problem.weights @ genome)  # int64 weights, so int64 arithmetic
+    c = problem.capacity
+    return float(s) if s <= c else float(max(0, c - (s - c)))
 
 
 class Rng:
@@ -129,7 +144,7 @@ class GaNode(Node):
     def initialize(self) -> int:
         p = self.params
         self.rows = list(self.rng.genomes((p.pop_size, self.problem.length)))
-        self.fit = [self.problem.evaluate(g) for g in self.rows]
+        self.fit = [score(self.problem, g) for g in self.rows]
         self.best = max(self.fit)
         self.stats["evaluations"] += p.pop_size
         return p.pop_size
@@ -158,7 +173,7 @@ class GaNode(Node):
         else:
             child = a.copy()
         child = flipped(child, rng.flips(length, p.p_mutation_per_bit))
-        f = self.problem.evaluate(child)
+        f = score(self.problem, child)
         if f >= min(self.fit):
             self.replace_worst(child, f)
         self.best = max(self.best, f)
@@ -179,10 +194,10 @@ class SaNode(Node):
     def initialize(self) -> int:
         p, problem = self.params, self.problem
         self.genome = self.rng.genomes(problem.length)
-        self.fitness = problem.evaluate(self.genome)
+        self.fitness = score(problem, self.genome)
         cost = 1
         if p.t0 is None:
-            samples = [problem.evaluate(self.rng.genomes(problem.length)) for _ in range(T0_SAMPLES)]
+            samples = [score(problem, self.rng.genomes(problem.length)) for _ in range(T0_SAMPLES)]
             self.t0 = max(float(np.std(samples)), 1e-9)
             cost += T0_SAMPLES
         else:
@@ -207,7 +222,7 @@ class SaNode(Node):
     def step(self) -> float:
         p = self.params
         candidate = flipped(self.genome, self.rng.flips(len(self.genome), p.p_perturb_per_bit))
-        f = self.problem.evaluate(candidate)
+        f = score(self.problem, candidate)
         if self.accept(f):
             self.take(candidate, f)
         self.moves += 1
@@ -222,7 +237,7 @@ class SaNode(Node):
         return self.best_genome, self.best
 
     def immigrate(self, msg) -> None:
-        f = self.problem.evaluate(msg[0])
+        f = score(self.problem, msg[0])
         self.stats["evaluations"] += 1
         if self.accept(f):
             self.take(msg[0], f)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydrocm.ga import GaParams, init_population
 from hydrocm.problems import (
     MmdpInstance,
     SubsetSumInstance,
@@ -64,6 +65,61 @@ class TestUnitation:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             ONE_BLOCK.tally(bits("11110"))
+
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    def test_rejects_a_genome_not_one_byte_per_bit(self, k):
+        # right length, wrong width: eight bytes per bit
+        inst = MmdpInstance(k=k)
+        with pytest.raises(ValueError):
+            inst.tally(np.ones(inst.length, dtype=np.int64))
+        with pytest.raises(ValueError):
+            inst.evaluate(np.ones(inst.length, dtype=np.int64))
+
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    def test_bool_genome_tallies_as_its_uint8_copy(self, k):
+        inst = MmdpInstance(k=k)
+        g = np.random.default_rng(k).random(inst.length) < 0.5
+        assert inst.tally(g) == inst.tally(g.astype(np.uint8))
+
+
+def oracle_tally(g, k):
+    """Per-block numpy sums, then the subfunction sum in millionths."""
+    out = g.reshape(k, 6).sum(axis=1).tolist()
+    return out + [sum(MILLIONTHS[u] for u in out)]
+
+
+class TestTallyKernel:
+    """`MmdpInstance.tally` sums every block with one big-integer multiply;
+    it must agree with plain per-block sums on any layout of the genome."""
+
+    @given(st.integers(1, 40), st.data())
+    def test_equals_block_sums(self, k, data):
+        g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
+        assert MmdpInstance(k=k).tally(g) == oracle_tally(g, k)
+
+    @pytest.mark.parametrize("k", [100, 1000])
+    def test_equals_block_sums_at_large_k(self, k):
+        inst, rng = MmdpInstance(k=k), np.random.default_rng(k)
+        genomes = [np.zeros(inst.length, np.uint8), np.ones(inst.length, np.uint8)]
+        genomes += [(rng.random(inst.length) < p).astype(np.uint8) for p in (0.1, 0.5, 0.9) for _ in range(10)]
+        for g in genomes:
+            assert inst.tally(g) == oracle_tally(g, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    def test_non_contiguous_view(self, k):
+        inst = MmdpInstance(k=k)
+        big = random_genome(2 * inst.length, np.random.default_rng(k))
+        g = big[::2]
+        assert not g.flags.c_contiguous
+        assert inst.tally(g) == oracle_tally(g.copy(), k)
+
+    def test_read_only_population_row(self):
+        inst, rng = MmdpInstance(k=25), np.random.default_rng(0)
+        pop = init_population(GaParams(pop_size=4), inst, rng)
+        for row, f in zip(pop.rows, pop.fit):
+            assert not row.flags.writeable
+            assert inst.tally(row) == oracle_tally(row, 25)
+            assert inst.evaluate(row) == f
 
 
 class TestMmdpSubfunction:
