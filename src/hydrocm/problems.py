@@ -36,10 +36,10 @@ _MMDP_MILLIONTHS = [1_000_000, 0, 360_384, 640_576, 360_384, 0, 1_000_000]
 
 MMDP_BLOCK_BITS = 6
 
-#: One 1-byte per bit of a block. Multiplying a genome's bytes, read as one
-#: little-endian integer, by it puts the sum of bytes 6b .. 6b + 5 in byte
-#: 6b + 5 of the product; each such sum is at most 6, so no carry crosses
-#: a byte.
+#: A byte of 1 for each bit of a block. Multiplying a genome's bytes, read as
+#: one little-endian integer, by it puts the sum of bytes 6b .. 6b + 5 in
+#: byte 6b + 5 of the product; each such sum is at most 6, so no carry
+#: crosses a byte.
 _SIX_ONES = 0x01_01_01_01_01_01
 
 

@@ -21,8 +21,9 @@ Determinism sections with no speed tricks:
 - list channels that drop the oldest migrant past 8.
 
 Only the configuration, the parameter classes and the problem instances
-(their sizes, weights and capacity) come from `hydrocm`. Topologies must be valid and the budget must pay for
-initializing every node; the engine checks both, this module does not.
+(their sizes, weights and capacity) come from `hydrocm`. Topologies must
+be valid and the budget must pay for initializing every node; the engine
+checks both, this module does not.
 """
 
 from __future__ import annotations
