@@ -8,11 +8,10 @@ It runs, one after another and each to completion:
 - `perfbench/run.py --workload all --seed 0 --seconds 30`, with `--trace 0`
   (end-to-end metrics) and `--trace 1` (per-layer metrics);
 - `hydrocm run` on `experiments/desk/mmdp_k5/ethane_g.yaml` with 100
-  repetitions, timed on the wall clock, with the host slowdown
-  (`perfbench/hostspeed.slowdown_now()`) measured just before and just
-  after it; `scaled_s` is the wall time divided by their mean, as
-  perfbench scales its own set-up time, so that runs on a busy and a
-  quiet host compare;
+  repetitions, timed on the wall clock, while `perfbench/hostspeed.HostSpeed`
+  samples the host slowdown every 0.1 s; `scaled_s` is the wall time
+  divided by the mean of those samples, as perfbench scales its passes, so
+  that runs on a busy and a quiet host compare;
 - the Tier-1 suite, timed on the wall clock.
 
 The file also records the git SHA (and whether the tree had uncommitted
@@ -31,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-from hostspeed import slowdown_now  # noqa: E402
+from hostspeed import HostSpeed  # noqa: E402
 
 WORKLOADS = ("mmdp5-desk", "ssp2048-ethane_s", "mmdp25-ring8-mig1")
 RUN_CONFIG = "experiments/desk/mmdp_k5/ethane_g.yaml"
@@ -74,10 +73,9 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as out:
         cmd = [sys.executable, "-m", "hydrocm", "run", "--config", RUN_CONFIG]
         cmd += ["--reps", str(RUN_REPS), "--out", out]
-        before = slowdown_now()
-        proc, run_s = run(cmd)
-        after = slowdown_now()
-    slowdown = (before + after) / 2
+        with HostSpeed() as host:
+            proc, run_s = run(cmd)
+    slowdown = host.slowdown()
     if proc.returncode != 0:
         sys.exit(f"hydrocm run exited {proc.returncode}:\n{proc.stderr}")
 
@@ -93,8 +91,8 @@ def main(argv) -> int:
         "hydrocm_run": {
             "command": ["hydrocm", *cmd[3:-2]],
             "wall_s": run_s,
-            "host_slowdown_before_after": [before, after],
             "host_slowdown": slowdown,
+            "host_samples": len(host.samples),
             "scaled_s": run_s / slowdown,
         },
         "tier1": {

@@ -46,18 +46,12 @@ class VirtualScheduler:
     A node with speed factor f completes one iteration every 1/f virtual
     ticks. Event times are exact integers (micro-ticks at a common
     denominator `scale`), so iteration counts over any horizon are exact:
-    floor(T * f) iterations within T ticks.
+    floor(T * f) iterations within T ticks. `validate_topology` ensures
+    one node at least, and `NodeSpec` a finite positive factor for each.
     """
 
     def __init__(self, speed_factors):
-        factors = list(speed_factors)
-        if not factors:
-            raise ValueError("need at least one speed factor")
-        periods = []
-        for f in factors:
-            if f <= 0:
-                raise ValueError(f"speed factors must be positive, got {f}")
-            periods.append(1 / Fraction(str(f)))
+        periods = [1 / Fraction(str(f)) for f in speed_factors]
         self.scale = math.lcm(*(p.denominator for p in periods))
         self.periods = [int(p * self.scale) for p in periods]
 

@@ -69,8 +69,6 @@ class Population:
     __slots__ = ("rows", "fit", "_worst")
 
     def __init__(self, genomes, fitness):
-        if len(genomes) != len(fitness):
-            raise ValueError("genomes and fitness must have equal leading size")
         self.rows: list[Genome] = [g.copy() for g in genomes]
         for row in self.rows:
             row.flags.writeable = False
@@ -134,10 +132,9 @@ def _tournament_index(pop: Population, size: int, rng) -> int:
 
 def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome:
     """With probability p_crossover, splice a prefix of `a` to a suffix of
-    `b` at a cut in [1, L-1]; otherwise return a copy of `a`."""
+    `b` at a cut in [1, L-1]; otherwise return a copy of `a`. Both have
+    `problem.length` bits, which `problem.tally` checks of SA immigrants."""
     length = len(a)
-    if length != len(b):
-        raise ValueError(f"parent lengths differ: {length} != {len(b)}")
     if rng.random() >= p_crossover or length < 2:
         return a.copy()
     cut = 1 + int(rng.random() * (length - 1))
@@ -146,34 +143,16 @@ def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome
     return child
 
 
-def flip_positions(length: int, p_per_bit: float, rng) -> list[int]:
-    """Ascending positions of an independent per-bit flip with probability
-    p_per_bit over `length` bits. Rate 0 gives none and rate 1 gives every
-    position, neither with a draw.
-
-    The gaps between flips are sampled instead of the bits: the number of
-    bits skipped before the next flip is geometric, `int(log(1 - u) /
-    log1p(-p))` for one uniform u, so a call costs about L*p + 1 draws
-    rather than L. `rng` is a `BufferedRng`, which reads the gaps from a
-    table computed once per block of uniforms."""
-    if not 0.0 <= p_per_bit <= 1.0:
-        raise ValueError(f"p_per_bit must be in [0,1], got {p_per_bit}")
-    if p_per_bit == 1.0:
-        return list(range(length))
-    if p_per_bit == 0.0:
-        return []
-    return rng.gap_positions(length, math.log1p(-p_per_bit))
-
-
 def mutate(genome: Genome, p_per_bit: float, rng) -> None:
     """Flip each bit of `genome` in place, independently with probability
-    p_per_bit, at the positions `flip_positions` draws, during the gap walk."""
-    bits = memoryview(genome)  # scalar writes without a numpy call each
-    if 0.0 < p_per_bit < 1.0:
-        rng.flip_gaps(bits, math.log1p(-p_per_bit))
-    else:  # rate 0 or 1 flips without a draw; any other rate raises
-        for i in flip_positions(genome.shape[0], p_per_bit, rng):
+    p_per_bit in [0, 1], as `GaParams` guarantees. Rates 0 and 1 draw
+    nothing; any other rate flips during `BufferedRng.flip_gaps`'s walk."""
+    if p_per_bit == 1.0:
+        bits = memoryview(genome)
+        for i in range(len(bits)):
             bits[i] ^= 1
+    elif p_per_bit > 0.0:
+        rng.flip_gaps(memoryview(genome), math.log1p(-p_per_bit))
 
 
 def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
@@ -196,10 +175,8 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
 
 def select_emigrant(pop: Population, rng) -> tuple[Genome, float]:
     """A uniformly random member, drawn as in `_tournament_index`, as a
-    `(genome, fitness)` pair that shares the member's read-only row."""
+    `(genome, fitness)` pair that shares the member's read-only row; there
+    are at least two, as `GaParams.pop_size` guarantees."""
     fit = pop.fit
-    n = len(fit)
-    if n == 0:
-        raise ValueError("population is empty")
-    i = int(rng.random() * n)
+    i = int(rng.random() * len(fit))
     return pop.rows[i], fit[i]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ga import check_real, default_mutation_rate, flip_positions
+from .ga import check_real, default_mutation_rate
 from .problems import Genome, random_genome
 
 SCHEDULES = ("fast", "geometric")
@@ -86,18 +86,17 @@ def _frozen(genome: Genome, fitness: float) -> tuple[Genome, float]:
 
 
 def perturb(length: int, p_per_bit: float, rng) -> list[int]:
-    """The annealer's move generator: the positions of independent
-    per-bit flips over `length` bits."""
-    if not 0.0 < p_per_bit <= 1.0:
-        raise ValueError(f"p_per_bit must be in (0,1], got {p_per_bit}")
-    return flip_positions(length, p_per_bit, rng)
+    """The annealer's move: ascending positions of independent per-bit flips
+    over `length` bits, p_per_bit in (0, 1] as `SaParams` guarantees."""
+    if p_per_bit == 1.0:
+        return list(range(length))
+    return rng.gap_positions(length, math.log1p(-p_per_bit))
 
 
 def accept(f_current: float, f_candidate: float, temperature: float, rng) -> bool:
     """Boltzmann acceptance: improving or equal moves always pass, worse
-    moves pass with probability exp(-(f_current - f_candidate)/T)."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    moves pass with probability exp(-(f_current - f_candidate)/T); T > 0, as
+    `SaParams.t0`, `estimate_t0` and `update_temperature` guarantee."""
     if f_candidate >= f_current:
         return True
     return rng.random() < math.exp(-(f_current - f_candidate) / temperature)
@@ -106,9 +105,7 @@ def accept(f_current: float, f_candidate: float, temperature: float, rng) -> boo
 def update_temperature(t0: float, step: int, params: SaParams) -> float:
     """Temperature after `step` updates; non-increasing in `step` for both
     schedules, and clamped at the smallest positive float so that a
-    schedule that underflows stays strictly positive."""
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
+    schedule that underflows stays strictly positive; `SaState.step` >= 0."""
     if params.schedule == "fast":
         t = t0 / (1.0 + params.schedule_rate * step)
     else:

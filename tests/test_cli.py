@@ -709,6 +709,8 @@ class TestValidateTopology:
             ("node", "speed_factor", float("inf")),
             ("node", "speed_factor", "fast"),
             ("node", "speed_factor", True),
+            ("node", "speed_factor", 0.0),
+            ("node", "speed_factor", -1.0),
         ],
     )
     def test_unknown_key_or_bad_number_is_input_error(self, tmp_path, capsys, where, key, value):

@@ -106,12 +106,6 @@ class TestVirtualScheduler:
             counts[idx] += 1
         assert Fraction(counts[0], counts[1]) == 1 / Fraction("0.35")
 
-    def test_rejects_bad_factors(self):
-        with pytest.raises(ValueError):
-            VirtualScheduler([1.0, 0.0])
-        with pytest.raises(ValueError):
-            VirtualScheduler([])
-
 
 class TestInitializationCost:
     def test_per_node_costs(self):
@@ -356,6 +350,17 @@ class TestRunExperiment:
         with pytest.raises(TopologyValidationError):
             run_experiment(
                 RunConfig(topology=bad, problem=MmdpInstance(k=1), evaluation_budget=100, seed=0)
+            )
+
+    def test_empty_topology_rejected_before_any_step(self, monkeypatch):
+        # the scheduler, built after validation, assumes at least one node
+        def no_scheduler(factors):
+            raise AssertionError("scheduler built for an empty topology")
+
+        monkeypatch.setattr(engine, "VirtualScheduler", no_scheduler)
+        with pytest.raises(TopologyValidationError, match="topology has no nodes"):
+            run_experiment(
+                RunConfig(topology=TopologySpec((), ()), problem=MmdpInstance(k=1), evaluation_budget=100, seed=0)
             )
 
     def test_zero_budget_rejected(self):

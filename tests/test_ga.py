@@ -12,13 +12,13 @@ from hydrocm.ga import (
     Population,
     _offspring_step,
     _tournament_index,
-    flip_positions,
     init_population,
     mutate,
     one_point_crossover,
     select_emigrant,
 )
 from hydrocm.problems import MmdpInstance, generate_ssp_instance
+from hydrocm.sa import perturb
 from hydrocm.seeding import BufferedRng
 
 from conftest import node_rng, panmictic
@@ -36,6 +36,19 @@ class TestGaParams:
     )
     def test_sizes_must_be_integers(self, kwargs):
         with pytest.raises(TypeError, match="must be an integer"):
+            GaParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"p_mutation_per_bit": -0.1}, "p_mutation_per_bit"),
+            ({"p_mutation_per_bit": 1.5}, "p_mutation_per_bit"),
+            ({"pop_size": 1}, "pop_size"),
+        ],
+    )
+    def test_out_of_range_rejected(self, kwargs, field):
+        # mutate and select_emigrant rely on these bounds and do not check them
+        with pytest.raises(ValueError, match=field):
             GaParams(**kwargs)
 
     def test_integer_sizes_accepted(self):
@@ -101,10 +114,6 @@ class TestOnePointCrossover:
         child = one_point_crossover(a, b, 0.0, rng)
         assert np.array_equal(child, a)
 
-    def test_rejects_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            one_point_crossover(np.zeros(4, np.uint8), np.zeros(5, np.uint8), 0.5, rng)
-
     def test_output_is_prefix_suffix_splice(self):
         # oracle: the child must equal a[:k] + b[k:] for some k (k=L means a)
         rng = node_rng(21)
@@ -148,10 +157,6 @@ class TestMutate:
         flips = [int(mutated(g, 4.0 / 150, rng).sum()) for _ in range(10_000)]
         assert abs(np.mean(flips) - 4.0) < 0.1
 
-    def test_rejects_bad_rate(self, rng):
-        with pytest.raises(ValueError):
-            mutate(np.zeros(4, np.uint8), 1.5, rng)
-
     @pytest.mark.parametrize("length", [30, 150, 2048])
     def test_flip_distribution(self, length):
         # every bit flips on its own with probability p: the flip count is
@@ -174,13 +179,17 @@ class TestMutate:
     @pytest.mark.parametrize("length", [1, 30, 150, 2048, 5000])
     @pytest.mark.parametrize("rate", ["0", "5e-324", "4/L", "0.5", "1"])
     def test_flips_during_walk_what_flip_positions_returns(self, length, rate):
+        """`mutate` flips, during the walk, the flip positions `perturb`
+        returns at the same rate, with the same draws; rate 0 flips nothing
+        and draws nothing."""
         # 5000 bits pass a 1,024-uniform block within one call
         p = min(1.0, 4.0 / length) if rate == "4/L" else float(rate)
         walker, sampler = node_rng(83), node_rng(83)
         g = node_rng(5).integers(0, 2, size=length, dtype=np.uint8)
         for _ in range(100):
             child = mutated(g, p, walker)
-            assert np.flatnonzero(child != g).tolist() == flip_positions(length, p, sampler)
+            expected = perturb(length, p, sampler) if p else []
+            assert np.flatnonzero(child != g).tolist() == expected
             assert walker.random() == sampler.random()
 
     @pytest.mark.parametrize("rate", [0.5, 1.0])
@@ -196,12 +205,14 @@ class TestMutate:
         before = g.copy()
         assert mutate(g, 0.05, node_rng(41)) is None
         flipped = np.flatnonzero(g != before).tolist()
-        assert flipped and flipped == flip_positions(300, 0.05, node_rng(41))
+        assert flipped and flipped == perturb(300, 0.05, node_rng(41))
 
 
 def gap_mutate_reference(genome, p, rng):
     """Gap-sampling mutation written as one plain loop: the reference for
-    the flips `flip_positions` returns and the draws it consumes."""
+    the flips `perturb` returns and `mutate` makes, and the draws they
+    consume. The gap to the next flip is geometric, `int(log(1 - u) /
+    log1p(-p))` for one uniform u, so a call costs about L*p + 1 draws."""
     out = genome.copy()
     if p == 1.0:
         return 1 - out
@@ -214,6 +225,9 @@ def gap_mutate_reference(genome, p, rng):
 
 
 class TestFlipPositions:
+    """The SA's flip positions (`perturb`) against the ssGA's flips
+    (`mutate`) and the plain loop."""
+
     @pytest.mark.parametrize("length", [30, 150, 2048])
     @pytest.mark.parametrize("rate", ["4/L", "1"])
     def test_same_flips_and_draws_as_mutate(self, length, rate):
@@ -221,19 +235,20 @@ class TestFlipPositions:
         sampler, mutator, reference = node_rng(53), node_rng(53), node_rng(53)
         g = np.zeros(length, dtype=np.uint8)
         for _ in range(500):
-            positions = flip_positions(length, p, sampler)
+            positions = perturb(length, p, sampler)
             assert positions == np.flatnonzero(mutated(g, p, mutator)).tolist()
             assert positions == np.flatnonzero(gap_mutate_reference(g, p, reference)).tolist()
             # all three RNGs are left at the same position of the stream
             assert sampler.random() == mutator.random() == reference.random()
 
-    def test_rejects_bad_rate(self, rng):
-        with pytest.raises(ValueError):
-            flip_positions(4, -0.1, rng)
-
 
 def reference_positions(length, p, rng):
     return np.flatnonzero(gap_mutate_reference(np.zeros(length, np.uint8), p, rng)).tolist()
+
+
+def table_positions(length, p, rng):
+    """The flip positions `BufferedRng.gap_positions` walks at a rate p < 1."""
+    return rng.gap_positions(length, math.log1p(-p))
 
 
 def buffered(seed, block):
@@ -254,9 +269,10 @@ class StubGenerator:
 
 
 class TestGapTable:
-    """`flip_positions` reads the gaps from `BufferedRng`'s per-block
-    table; it must give the positions and leave the stream where the
-    plain per-draw loop does."""
+    """`BufferedRng.gap_positions` reads the gaps from a per-block table;
+    it must give the positions and leave the stream where the plain
+    per-draw loop does. `perturb`, which calls it below rate 1, stands in
+    where 4/L reaches rate 1."""
 
     @pytest.mark.parametrize("block", [7, 1024])
     @pytest.mark.parametrize("length", [1, 2, 30, 2048])
@@ -266,7 +282,7 @@ class TestGapTable:
         p = min(1.0, 4.0 / length) if rate == "4/L" else float(rate)
         table, reference = buffered(61, block), buffered(61, block)
         for call in range(300):
-            assert flip_positions(length, p, table) == reference_positions(length, p, reference)
+            assert perturb(length, p, table) == reference_positions(length, p, reference)
             # plain draws between calls come from the same stream position
             for _ in range(call % 3):
                 assert table.random() == reference.random()
@@ -276,7 +292,7 @@ class TestGapTable:
         table, reference = buffered(67, block), buffered(67, block)
         for call in range(600):
             p = 4.0 / 2048 if call % 2 else 0.05
-            assert flip_positions(2048, p, table) == reference_positions(2048, p, reference)
+            assert table_positions(2048, p, table) == reference_positions(2048, p, reference)
         assert table.random() == reference.random()
 
     def test_denormal_rate_ends_every_call(self):
@@ -286,7 +302,7 @@ class TestGapTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(100):
-                assert flip_positions(2048, 5e-324, table) == []
+                assert table_positions(2048, 5e-324, table) == []
                 stream.random()
                 assert table.random() == stream.random()
 
@@ -302,7 +318,7 @@ class TestGapTable:
         table = BufferedRng(StubGenerator(uniforms), block=64)
         reference = BufferedRng(StubGenerator(uniforms), block=64)
         for _ in range(40):
-            assert flip_positions(600, p, table) == reference_positions(600, p, reference)
+            assert table_positions(600, p, table) == reference_positions(600, p, reference)
             assert table.random() == reference.random()
 
 
