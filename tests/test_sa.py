@@ -112,6 +112,7 @@ class TestSaStep:
     def test_flat_landscape_all_moves_accepted(self):
         prob = ConstantProblem(length=8)
         state, params, rng = fresh_state(prob)
+        assert state.t0 == 1e-9  # estimate_t0's floor: every sample scores the same
         f0 = state.fitness
         for k in range(1, 20):
             sa_step(state, params, prob, rng)
