@@ -8,10 +8,9 @@ It runs, one after another and each to completion:
 - `perfbench/run.py --workload all --seed 0 --seconds 30`, with `--trace 0`
   (end-to-end metrics) and `--trace 1` (per-layer metrics);
 - `hydrocm run` on `experiments/desk/mmdp_k5/ethane_g.yaml` with 100
-  repetitions, timed on the wall clock, while `perfbench/hostspeed.HostSpeed`
-  samples the host slowdown every 0.1 s; `scaled_s` is the wall time
-  divided by the mean of those samples, as perfbench scales its passes, so
-  that runs on a busy and a quiet host compare;
+  repetitions, three times, each timed raw on the wall clock; the file
+  keeps every time and their minimum, the figure least disturbed by other
+  load on the host;
 - the Tier-1 suite, timed on the wall clock.
 
 The file also records the git SHA (and whether the tree had uncommitted
@@ -29,12 +28,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from hostspeed import HostSpeed  # noqa: E402
 
 WORKLOADS = ("mmdp5-desk", "ssp2048-ethane_s", "mmdp25-ring8-mig1")
 RUN_CONFIG = "experiments/desk/mmdp_k5/ethane_g.yaml"
 RUN_REPS = 100
+RUN_TIMES = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -70,14 +68,15 @@ def main(argv) -> int:
         records[name] = result["records_sha256"]
     traced = perfbench(1)
 
-    with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "-m", "hydrocm", "run", "--config", RUN_CONFIG]
-        cmd += ["--reps", str(RUN_REPS), "--out", out]
-        with HostSpeed() as host:
-            proc, run_s = run(cmd)
-    slowdown = host.slowdown()
-    if proc.returncode != 0:
-        sys.exit(f"hydrocm run exited {proc.returncode}:\n{proc.stderr}")
+    run_s = []
+    for _ in range(RUN_TIMES):
+        with tempfile.TemporaryDirectory() as out:
+            cmd = [sys.executable, "-m", "hydrocm", "run", "--config", RUN_CONFIG]
+            cmd += ["--reps", str(RUN_REPS), "--out", out]
+            proc, wall_s = run(cmd)
+        if proc.returncode != 0:
+            sys.exit(f"hydrocm run exited {proc.returncode}:\n{proc.stderr}")
+        run_s.append(wall_s)
 
     proc, tier1_s = run(TIER1)
     bench = {
@@ -91,9 +90,7 @@ def main(argv) -> int:
         "hydrocm_run": {
             "command": ["hydrocm", *cmd[3:-2]],
             "wall_s": run_s,
-            "host_slowdown": slowdown,
-            "host_samples": len(host.samples),
-            "scaled_s": run_s / slowdown,
+            "min_wall_s": min(run_s),
         },
         "tier1": {
             "command": ["pytest", *TIER1[3:]],

@@ -12,9 +12,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import yaml
-
-from .engine import RunConfig, initialization_cost, run_experiment
+from .engine import RunConfig, run_experiment
 from .ga import GaParams
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance, save_instance
 from .records import DECIMAL, read_records, write_records, write_trace
@@ -28,10 +26,12 @@ from .stats import (
     summary_cells,
 )
 from .topology import (
-    UniqueKeyLoader,
+    DEFAULT_SLOW_FACTOR,
+    TopologyValidationError,
     ethane_topology,
     load_topology,
     panmictic_topology,
+    read_yaml,
     ring_topology,
     validate_topology,
 )
@@ -159,13 +159,9 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
         if not path.is_absolute():
             path = cfg_dir / path
         try:
-            topo = load_topology(path)
+            return kind, load_topology(path)
         except ValueError as exc:
             raise ConfigError("setup.topology", str(exc)) from None
-        violations = validate_topology(topo)
-        if violations:
-            raise ConfigError("setup.topology", "; ".join(violations))
-        return kind, topo
     return kind, panmictic_topology(kind.removeprefix("panmictic_"))
 
 
@@ -186,11 +182,9 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     flags) win over file values."""
     path = Path(path)
     try:
-        data = yaml.load(path.read_text(), Loader=UniqueKeyLoader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError("config", f"not valid YAML: {exc}") from None
+        data = read_yaml(path)
+    except ValueError as exc:
+        raise ConfigError("config", str(exc)) from None
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a mapping")
     data = dict(data)
@@ -200,7 +194,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     if data.get("mode", "virtual") != "virtual":
         raise ConfigError("mode", f"must be 'virtual', got {data['mode']!r}")
 
-    slow_factor = data.get("slow_factor", 0.35)
+    slow_factor = data.get("slow_factor", DEFAULT_SLOW_FACTOR)
     if isinstance(slow_factor, bool) or not isinstance(slow_factor, (int, float)):
         raise ConfigError("slow_factor", f"expected a number, got {slow_factor!r}")
     if not (math.isfinite(slow_factor) and slow_factor > 0):
@@ -211,28 +205,24 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     if "slow_factor" in data and setup not in SLOW_FACTOR_SETUPS:
         raise ConfigError("slow_factor", f"setup {setup!r} does not read it")
     ga, sa = _build_params(data, "ga", GaParams), _build_params(data, "sa", SaParams)
-    cost = initialization_cost(topology, ga, sa)
     budget = _as_int(_require(data, "budget"), "budget", minimum=1)
-    if budget < cost:
-        raise ConfigError("budget", f"must be >= {cost}, the cost of initializing {setup}, got {budget}")
-
-    return ExperimentConfig(
-        setup=setup,
-        problem_label=problem_label,
-        repetitions=_as_int(data.get("repetitions", 100), "repetitions", minimum=1),
-        run=RunConfig(
-            topology=topology,
-            problem=problem,
-            evaluation_budget=budget,
-            seed=_as_int(data.get("master_seed", 0), "master_seed", minimum=0),
-            migration_frequency=_as_int(
-                data.get("migration_frequency", 50), "migration_frequency", minimum=1
-            ),
-            migration_count=_as_int(data.get("migration_count", 1), "migration_count", minimum=1),
-            ga=ga,
-            sa=sa,
-        ),
+    repetitions = _as_int(data.get("repetitions", 100), "repetitions", minimum=1)
+    seed = _as_int(data.get("master_seed", 0), "master_seed", minimum=0)
+    freq, count = (
+        _as_int(data.get(key, getattr(RunConfig, key)), key, minimum=1)
+        for key in ("migration_frequency", "migration_count")
     )
+    try:
+        run = RunConfig(
+            topology, problem, budget, seed, migration_frequency=freq, migration_count=count, ga=ga, sa=sa
+        )
+    except TopologyValidationError as exc:  # a ValueError, so caught first
+        raise ConfigError("setup.topology", str(exc)) from None
+    except ValueError as exc:
+        # the budget's shortfall: RunConfig's ">= 1" checks cannot fire, as
+        # _as_int has rejected each of those fields under its own name
+        raise ConfigError("budget", str(exc)) from None
+    return ExperimentConfig(setup, problem_label, repetitions, run)
 
 
 def cmd_run(args) -> int:

@@ -22,7 +22,7 @@ from .problems import Genome, is_optimum
 from .records import IslandStats, RunResult
 from .sa import SaParams
 from .seeding import spawn_rngs
-from .topology import SA, SSGA, TopologySpec, compile_channels
+from .topology import SA, SSGA, TopologySpec, TopologyValidationError, compile_channels, validate_topology
 
 CHANNEL_CAPACITY = 8
 
@@ -46,8 +46,8 @@ class VirtualScheduler:
     A node with speed factor f completes one iteration every 1/f virtual
     ticks. Event times are exact integers (micro-ticks at a common
     denominator `scale`), so iteration counts over any horizon are exact:
-    floor(T * f) iterations within T ticks. `validate_topology` ensures
-    one node at least, and `NodeSpec` a finite positive factor for each.
+    floor(T * f) iterations within T ticks. `RunConfig` ensures one node
+    at least, and `NodeSpec` a finite positive factor for each.
     """
 
     def __init__(self, speed_factors):
@@ -73,7 +73,9 @@ class VirtualScheduler:
 
 @dataclass
 class RunConfig:
-    """Everything needed to run (and replay) one experiment."""
+    """Everything needed to run (and replay) one experiment. Building one
+    checks that it can run: a valid topology (else TopologyValidationError)
+    and a budget that pays for initializing every node (else ValueError)."""
 
     topology: TopologySpec
     problem: object
@@ -91,6 +93,22 @@ class RunConfig:
             raise ValueError("migration_frequency must be >= 1")
         if self.migration_count < 1:
             raise ValueError("migration_count must be >= 1")
+        violations = validate_topology(self.topology)
+        if violations:
+            raise TopologyValidationError(violations)
+        cost = self.initialization_cost
+        if self.evaluation_budget < cost:
+            raise ValueError(
+                f"evaluation_budget {self.evaluation_budget} is below the {cost} evaluations "
+                "that initializing the topology costs"
+            )
+
+    @property
+    def initialization_cost(self) -> int:
+        """Evaluations spent initializing every node: pop_size per ssGA
+        node, and per SA node its `SaParams.init_evaluations`."""
+        costs = {SSGA: self.ga.pop_size, SA: self.sa.init_evaluations}
+        return sum(costs[node.algorithm] for node in self.topology.nodes)
 
 
 class _Island:
@@ -185,22 +203,9 @@ class _SaIsland(_Island):
         sa_mod.inject_immigrant(self.state, msg[0], self.problem, self.rng)
 
 
-def initialization_cost(topology: TopologySpec, ga: GaParams, sa: SaParams) -> int:
-    """Evaluations spent initializing every node of `topology`: pop_size
-    per ssGA node, and per SA node its `SaParams.init_evaluations`."""
-    costs = {SSGA: ga.pop_size, SA: sa.init_evaluations}
-    return sum(costs[node.algorithm] for node in topology.nodes)
-
-
 def _build_islands(config: RunConfig) -> list[_Island]:
     spec = config.topology
     channels = compile_channels(spec)
-    cost = initialization_cost(spec, config.ga, config.sa)
-    if config.evaluation_budget < cost:
-        raise ValueError(
-            f"evaluation_budget {config.evaluation_budget} is below the {cost} evaluations "
-            "that initializing the topology costs"
-        )
     problem = config.problem
     ga_params = config.ga.resolved_for(problem.length)
     sa_params = config.sa.resolved_for(problem.length)
@@ -225,10 +230,8 @@ def _build_islands(config: RunConfig) -> list[_Island]:
 
 def run_experiment(config: RunConfig) -> RunResult:
     """Run one experiment in virtual time until the optimum is found or the
-    evaluation budget is exhausted.
-
-    Raises ValueError if the topology is invalid (TopologyValidationError)
-    or the budget cannot pay for initializing every node."""
+    evaluation budget is exhausted. `config` can run: `RunConfig` checked
+    its topology and budget when it was built."""
     islands = _build_islands(config)
     problem = config.problem
     limit = config.evaluation_budget

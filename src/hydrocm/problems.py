@@ -21,10 +21,6 @@ import numpy as np
 
 Genome = np.ndarray
 
-#: Tolerance of the optimum test. SSP fitness values are integral, so the
-#: test degenerates to exact equality there.
-OPTIMUM_EPS = 1e-9
-
 #: Inclusive weight range for generated subset-sum instances.
 WEIGHT_MAX = 10_000
 
@@ -187,9 +183,10 @@ def generate_ssp_instance(n: int, seed: int) -> SubsetSumInstance:
 
 
 def is_optimum(fitness: float, problem) -> bool:
-    """True iff `fitness` reaches the problem's known optimum (within 1e-9;
-    exact for the integral SSP fitness)."""
-    return fitness >= problem.optimum - OPTIMUM_EPS
+    """True iff `fitness` reaches the problem's known optimum. The test is
+    exact: SSP fitness is integral, and MMDP fitness, k * 1e6 millionths
+    divided by 1e6, is exactly k at the optimum."""
+    return fitness >= problem.optimum
 
 
 def save_instance(inst: SubsetSumInstance, path) -> None:

@@ -32,7 +32,8 @@ DEFAULT_SLOW_FACTOR = 0.35
 
 
 class TopologyValidationError(ValueError):
-    """Raised when channels are compiled from an invalid topology."""
+    """Raised when a run is configured on an invalid topology; `violations`
+    lists what `validate_topology` found."""
 
     def __init__(self, violations: list[str]):
         self.violations = violations
@@ -231,11 +232,9 @@ def validate_topology(spec: TopologySpec) -> list[str]:
 
 
 def compile_channels(spec: TopologySpec) -> tuple[ChannelSpec, ...]:
-    """Directed migration channels: two opposite channels per hydrocarbon
-    bond, one per ring bond; batch_size equals the bond multiplicity."""
-    violations = validate_topology(spec)
-    if violations:
-        raise TopologyValidationError(violations)
+    """Directed migration channels of a valid spec: two opposite channels
+    per hydrocarbon bond, one per ring bond; batch_size equals the bond
+    multiplicity."""
     channels = []
     for b in spec.bonds:
         channels.append(ChannelSpec(b.a, b.b, b.multiplicity))
@@ -299,13 +298,17 @@ def save_topology(spec: TopologySpec, path) -> None:
     Path(path).write_text(yaml.safe_dump({"kind": spec.kind, **asdict(spec)}, sort_keys=False))
 
 
-def load_topology(path) -> TopologySpec:
+def read_yaml(path):
+    """The YAML document at `path`; a repeated key is an error. A file that
+    cannot be read or parsed raises ValueError("cannot read ...")."""
     try:
-        data = yaml.load(Path(path).read_text(), Loader=UniqueKeyLoader)
-    except (OSError, UnicodeDecodeError) as exc:
+        return yaml.load(Path(path).read_text(), Loader=UniqueKeyLoader)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: not valid topology YAML: {exc}") from None
+
+
+def load_topology(path) -> TopologySpec:
+    data = read_yaml(path)
     try:
         return topology_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

@@ -22,7 +22,7 @@ Determinism sections with no speed tricks:
 
 Only the configuration, the parameter classes and the problem instances
 (their sizes, weights and capacity) come from `hydrocm`. Topologies must
-be valid and the budget must pay for initializing every node; the engine
+be valid and the budget must pay for initializing every node; `RunConfig`
 checks both, this module does not.
 """
 

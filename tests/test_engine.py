@@ -11,7 +11,6 @@ from hydrocm.engine import (
     Channel,
     RunConfig,
     VirtualScheduler,
-    initialization_cost,
     run_experiment,
 )
 from hydrocm.ga import GaParams
@@ -107,6 +106,20 @@ class TestVirtualScheduler:
         assert Fraction(counts[0], counts[1]) == 1 / Fraction("0.35")
 
 
+def forbid_building_islands(monkeypatch):
+    """Make any run that gets as far as building its islands fail."""
+
+    def no_islands(config):
+        raise AssertionError("islands built for a config that cannot run")
+
+    monkeypatch.setattr(engine, "_build_islands", no_islands)
+
+
+def initialization_cost(topology, ga=GaParams(), sa=SaParams()) -> int:
+    config = RunConfig(topology, MmdpInstance(k=6), evaluation_budget=10**6, seed=0, ga=ga, sa=sa)
+    return config.initialization_cost
+
+
 class TestInitializationCost:
     def test_per_node_costs(self):
         ga, sa = GaParams(), SaParams()
@@ -121,18 +134,18 @@ class TestInitializationCost:
         [ethane_topology("G"), ethane_topology("S"), panmictic_topology("ssga"), panmictic_topology("sa")],
         ids=["ethane_g", "ethane_s", "panmictic_ssga", "panmictic_sa"],
     )
-    def test_budget_equal_to_cost_runs_init_only(self, topology):
-        cost = initialization_cost(topology, GaParams(), SaParams())
+    def test_budget_equal_to_cost_runs_init_only(self, topology, monkeypatch):
+        cost = initialization_cost(topology)
         res = run_experiment(
             RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost, seed=3)
         )
         assert res.evaluations == cost
         assert res.elapsed_ms == 0.0
         assert all(s.iterations == 0 for s in res.per_island.values())
+        # building the config alone rejects a budget one short
+        forbid_building_islands(monkeypatch)
         with pytest.raises(ValueError, match="initializing"):
-            run_experiment(
-                RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost - 1, seed=3)
-            )
+            RunConfig(topology=topology, problem=MmdpInstance(k=6), evaluation_budget=cost - 1, seed=3)
 
 
 class TestExactBudget:
@@ -343,25 +356,19 @@ class TestRunExperiment:
             assert got == {node: (init_evaluations.get(node, 0), 0, 0, 0, 0) for node in got}
             assert res.evaluations == sum(init_evaluations.values())
 
-    def test_invalid_topology_rejected(self):
+    def test_invalid_topology_rejected(self, monkeypatch):
         bad = TopologySpec(
             (NodeSpec("H0", "hydrogen", "sa"), NodeSpec("H1", "hydrogen", "sa")), ()
         )
+        forbid_building_islands(monkeypatch)
         with pytest.raises(TopologyValidationError):
-            run_experiment(
-                RunConfig(topology=bad, problem=MmdpInstance(k=1), evaluation_budget=100, seed=0)
-            )
+            RunConfig(topology=bad, problem=MmdpInstance(k=1), evaluation_budget=100, seed=0)
 
     def test_empty_topology_rejected_before_any_step(self, monkeypatch):
-        # the scheduler, built after validation, assumes at least one node
-        def no_scheduler(factors):
-            raise AssertionError("scheduler built for an empty topology")
-
-        monkeypatch.setattr(engine, "VirtualScheduler", no_scheduler)
+        # the islands and the scheduler assume at least one node
+        forbid_building_islands(monkeypatch)
         with pytest.raises(TopologyValidationError, match="topology has no nodes"):
-            run_experiment(
-                RunConfig(topology=TopologySpec((), ()), problem=MmdpInstance(k=1), evaluation_budget=100, seed=0)
-            )
+            RunConfig(topology=TopologySpec((), ()), problem=MmdpInstance(k=1), evaluation_budget=100, seed=0)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -390,6 +391,8 @@ class TestIsOptimum:
 
     def test_mmdp_miss(self):
         assert not is_optimum(24.639, MmdpInstance(k=25))
+        # the test is exact: one ulp below the optimum misses it
+        assert not is_optimum(math.nextafter(25.0, 0.0), MmdpInstance(k=25))
 
     def test_ssp_exact_equality(self):
         inst = SubsetSumInstance(weights=np.array([3, 5, 8, 13]), capacity=16, known_optimum=16)

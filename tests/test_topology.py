@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hydrocm.engine import RunConfig
+from hydrocm.problems import MmdpInstance
 from hydrocm.topology import (
     BondSpec,
     NodeSpec,
@@ -281,7 +283,7 @@ class TestCompileChannels:
             (NodeSpec("H0", "hydrogen", "sa"), NodeSpec("H1", "hydrogen", "sa")), ()
         )
         with pytest.raises(TopologyValidationError) as err:
-            compile_channels(spec)
+            RunConfig(topology=spec, problem=MmdpInstance(k=1), evaluation_budget=1_000, seed=0)
         assert err.value.violations
 
     def test_symmetric_channels_for_hydrocarbons(self):
