@@ -29,7 +29,7 @@ CHANNEL_CAPACITY = 8
 
 class Channel(deque):
     """One-producer/one-consumer FIFO of `(genome, fitness)` migrants, whose
-    read-only genomes sender and receiver share; appending to a full one
+    `bytes` genomes sender and receiver share; appending to a full one
     drops the oldest (freshest-information bias). The sender appends `batch`
     migrants per migration (bond multiplicity times `migration_count`) and
     counts every one in `sent`."""

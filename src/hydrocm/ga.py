@@ -60,8 +60,8 @@ class GaParams:
 
 
 class Population:
-    """Fixed-size population of one island: `rows`, one read-only uint8
-    genome per member, which other islands may share as migrants, and
+    """Fixed-size population of one island: `rows`, one `bytes` genome per
+    member, which other islands may share as migrants, and
     `fit`, their fitness values as Python floats. The index of the worst
     member is cached; `replace_worst`, the only write, keeps it the first
     minimum of `fit`, the index `np.argmin` gives."""
@@ -69,9 +69,7 @@ class Population:
     __slots__ = ("rows", "fit", "_worst")
 
     def __init__(self, genomes, fitness):
-        self.rows: list[Genome] = [g.copy() for g in genomes]
-        for row in self.rows:
-            row.flags.writeable = False
+        self.rows: list[bytes] = [bytes(g) for g in genomes]
         self.fit: list[float] = [float(f) for f in fitness]
         self._worst: int | None = None
 
@@ -93,8 +91,8 @@ class Population:
             w = self._worst = fit.index(min(fit))
         return w
 
-    def replace_worst(self, genome: Genome, fitness: float) -> None:
-        """Put `genome`, read-only and stored without a copy, in place of the
+    def replace_worst(self, genome: bytes, fitness: float) -> None:
+        """Put `genome`, `bytes` stored without a copy, in place of the
         worst member. The cached index stays valid when the new fitness is
         not above the old worst: that slot is still the first minimum."""
         w = self.worst_index()
@@ -130,29 +128,28 @@ def _tournament_index(pop: Population, size: int, rng) -> int:
     return best
 
 
-def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> Genome:
+def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> bytearray:
     """With probability p_crossover, splice a prefix of `a` to a suffix of
-    `b` at a cut in [1, L-1]; otherwise return a copy of `a`. Both have
-    `problem.length` bits, which `problem.tally` checks of SA immigrants."""
+    `b` at a cut in [1, L-1]; otherwise copy `a`, as a new bytearray. Both
+    have `problem.length` bits, which `problem.tally` checks of SA immigrants."""
     length = len(a)
     if rng.random() >= p_crossover or length < 2:
-        return a.copy()
+        return bytearray(a)
     cut = 1 + int(rng.random() * (length - 1))
-    child = b.copy()
-    child[:cut] = a[:cut]
+    child = bytearray(a[:cut])
+    child += b[cut:]
     return child
 
 
-def mutate(genome: Genome, p_per_bit: float, rng) -> None:
+def mutate(genome: bytearray, p_per_bit: float, rng) -> None:
     """Flip each bit of `genome` in place, independently with probability
     p_per_bit in [0, 1], as `GaParams` guarantees. Rates 0 and 1 draw
     nothing; any other rate flips during `BufferedRng.flip_gaps`'s walk."""
     if p_per_bit == 1.0:
-        bits = memoryview(genome)
-        for i in range(len(bits)):
-            bits[i] ^= 1
+        for i in range(len(genome)):
+            genome[i] ^= 1
     elif p_per_bit > 0.0:
-        rng.flip_gaps(memoryview(genome), math.log1p(-p_per_bit))
+        rng.flip_gaps(genome, math.log1p(-p_per_bit))
 
 
 def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
@@ -168,14 +165,13 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     mutate(child, params.p_mutation_per_bit, rng)
     f = problem.evaluate(child)
     if f >= pop.fit[pop.worst_index()]:
-        child.flags.writeable = False
-        pop.replace_worst(child, f)
+        pop.replace_worst(bytes(child), f)
     return f
 
 
-def select_emigrant(pop: Population, rng) -> tuple[Genome, float]:
+def select_emigrant(pop: Population, rng) -> tuple[bytes, float]:
     """A uniformly random member, drawn as in `_tournament_index`, as a
-    `(genome, fitness)` pair that shares the member's read-only row; there
+    `(genome, fitness)` pair that shares the member's `bytes` row; there
     are at least two, as `GaParams.pop_size` guarantees."""
     fit = pop.fit
     i = int(rng.random() * len(fit))

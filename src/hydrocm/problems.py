@@ -1,7 +1,7 @@
 """Benchmark fitness functions: subset sum (SSP) and the massively
 multimodal deceptive problem (MMDP), plus seeded instance generation.
 
-All operations are pure; genomes are 1-D numpy uint8 arrays of 0/1.
+All operations are pure; a genome holds one byte, 0 or 1, per bit.
 
 Each instance scores a genome through a tally: an additive summary from
 which its fitness follows exactly. `tally(genome)` computes it,
@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-Genome = np.ndarray
+#: Stored genomes (population rows, an annealer's best, migrants) are immutable
+#: `bytes`; working ones (an ssGA child, an annealer's solution) are `bytearray`s.
+Genome = bytes | bytearray
 
 #: Inclusive weight range for generated subset-sum instances.
 WEIGHT_MAX = 10_000
@@ -40,8 +42,8 @@ _SIX_ONES = 0x01_01_01_01_01_01
 
 
 def random_genome(length: int, rng) -> Genome:
-    """Uniformly random genome of the given length."""
-    return rng.integers(0, 2, size=length, dtype=np.uint8)
+    """Uniformly random working genome of the given length."""
+    return bytearray(rng.integers(0, 2, size=length, dtype=np.uint8).tobytes())
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,9 @@ class MmdpInstance:
         subfunction values in millionths, as one list of k + 1 ints.
 
         One big-integer multiply by `_SIX_ONES` sums every block at once.
-        The genome must hold one byte per bit (uint8 or bool)."""
-        data = genome.tobytes()
+        The genome must hold one byte per bit: bytes, bytearray, or a uint8
+        or bool array, which `bytes()` copies even from a non-contiguous view."""
+        data = bytes(genome)
         if len(data) != self.length:
             raise ValueError(f"genome of {len(data)} bytes != {self.length}, one byte per bit (k={self.k})")
         spread = int.from_bytes(data, "little") * _SIX_ONES
@@ -84,12 +87,12 @@ class MmdpInstance:
         list: each flip moves its block's unitation by one and the sum by
         the table difference."""
         out = tally.copy()
-        table, bits = _MMDP_MILLIONTHS, memoryview(genome)
+        table = _MMDP_MILLIONTHS
         total = out[-1]
         for i in positions:
             b = i // MMDP_BLOCK_BITS
             u = out[b]
-            v = out[b] = u - 1 if bits[i] else u + 1
+            v = out[b] = u - 1 if genome[i] else u + 1
             total += table[v] - table[u]
         out[-1] = total
         return out
@@ -140,17 +143,19 @@ class SubsetSumInstance:
         return self.fitness_of(self.tally(genome))
 
     def tally(self, genome: Genome) -> int:
-        """The subset sum of `genome`."""
-        if genome.shape[0] != self.length:
-            raise ValueError(f"genome length {genome.shape[0]} != {self.length} weights")
-        return int(self.weights_f64.dot(genome))
+        """The subset sum of `genome`, one byte per bit: bytes, bytearray, or a
+        C-contiguous uint8 or bool array (numpy rejects a non-contiguous view)."""
+        bits = np.frombuffer(genome, np.uint8)
+        if bits.shape[0] != self.length:
+            raise ValueError(f"genome of {bits.shape[0]} bytes != {self.length} weights, one byte per bit")
+        return int(self.weights_f64.dot(bits))
 
     def flip(self, tally: int, genome: Genome, positions) -> int:
         """Subset sum of `genome` with the distinct `positions` flipped;
         `genome` is left as it is."""
-        w, bits = self._weights_list, memoryview(genome)
+        w = self._weights_list
         for i in positions:
-            if bits[i]:
+            if genome[i]:
                 tally -= w[i]
             else:
                 tally += w[i]

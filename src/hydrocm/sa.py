@@ -67,22 +67,20 @@ class SaParams:
 class SaState:
     """Annealing state: the current solution (`genome`, `fitness` and the
     problem's `tally` of it), the best-so-far and the cooling position.
-    `genome` is changed in place and never shared; `best` is a read-only
-    `(genome, fitness)` pair of its own, which migrants share."""
+    `genome` is a bytearray, changed in place and never shared; `best` is a
+    `(bytes, fitness)` pair of its own, which migrants share."""
 
-    genome: Genome
+    genome: bytearray
     fitness: float
     tally: object
-    best: tuple[Genome, float]
+    best: tuple[bytes, float]
     t0: float
     temperature: float
     step: int = 0
 
 
-def _frozen(genome: Genome, fitness: float) -> tuple[Genome, float]:
-    copy = genome.copy()
-    copy.flags.writeable = False
-    return copy, fitness
+def _frozen(genome: Genome, fitness: float) -> tuple[bytes, float]:
+    return bytes(genome), fitness
 
 
 def perturb(length: int, p_per_bit: float, rng) -> list[int]:
@@ -135,13 +133,12 @@ def sa_step(state: SaState, params: SaParams, problem, rng) -> None:
     evaluation), accept or reject, update best, cool, advance the step
     counter. An accepted move flips the current genome in place."""
     genome = state.genome
-    positions = perturb(genome.shape[0], params.p_perturb_per_bit, rng)
+    positions = perturb(len(genome), params.p_perturb_per_bit, rng)
     tally = problem.flip(state.tally, genome, positions)
     f = problem.fitness_of(tally)
     if accept(state.fitness, f, state.temperature, rng):
-        bits = memoryview(genome)
         for i in positions:
-            bits[i] ^= 1
+            genome[i] ^= 1
         state.fitness = f
         state.tally = tally
         if f > state.best[1]:
@@ -157,7 +154,7 @@ def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> None:
     tally = problem.tally(genome)
     f = problem.fitness_of(tally)
     if accept(state.fitness, f, state.temperature, rng):
-        state.genome = genome.copy()
+        state.genome = bytearray(genome)
         state.fitness = f
         state.tally = tally
         if f > state.best[1]:

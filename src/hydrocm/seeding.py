@@ -79,7 +79,7 @@ class BufferedRng:
             self._i = i
 
     def flip_gaps(self, bits, log_q: float) -> None:
-        """Flip in the writable buffer `bits`, during the walk, the positions
+        """Flip in the bytearray `bits`, during the walk, the positions
         that `gap_positions(len(bits), log_q)` returns, with the same draws.
         It serves the ssGA (+4.8% evals/s on mmdp25-ring8-mig1 over flipping
         a list); the SA scores a move before applying it, so it needs the list."""

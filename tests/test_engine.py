@@ -28,9 +28,7 @@ from hydrocm.topology import (
 
 
 def migrant(i):
-    genome = np.array([i], dtype=np.uint8)
-    genome.flags.writeable = False
-    return genome, float(i)
+    return bytes([i]), float(i)
 
 
 def pair_topology(alg_a="ssga", alg_b="sa"):
@@ -241,6 +239,43 @@ class TestMigrantsNeverRaiseTheBest:
             )
             assert res.best == best[0]
         assert applied[0] > 0
+
+
+class TestNoMutableGenomeIsShared:
+    """Every genome that two owners can hold, a population row, an SA best
+    or a queued migrant, is immutable `bytes`; the only bytearray, flipped
+    in place, is each SA island's current solution, which it owns alone."""
+
+    @pytest.mark.parametrize("variant", ["G", "S"], ids=["ethane_g", "ethane_s"])
+    def test_after_migrations_both_ways(self, variant):
+        config = RunConfig(
+            topology=ethane_topology(variant),
+            problem=MmdpInstance(k=6),
+            evaluation_budget=10**6,
+            seed=5,
+            migration_frequency=1,
+            migration_count=9,
+        )
+        islands = engine._build_islands(config)
+        for island in islands:
+            island.initialize()
+        queued = 0
+        for _ in range(300):
+            for island in islands:
+                island.step()
+                island.migrate(config.evaluation_budget)
+            for island in islands:
+                if isinstance(island, engine._GaIsland):
+                    assert all(type(row) is bytes for row in island.pop.rows)
+                else:
+                    assert type(island.state.best[0]) is bytes
+                    assert type(island.state.genome) is bytearray
+                for channel in island.in_channels:
+                    assert all(type(genome) is bytes for genome, _ in channel)
+                    queued += len(channel)
+        assert queued
+        received = {type(island) for island in islands if island.immigrants}
+        assert received == {engine._GaIsland, engine._SaIsland}
 
 
 class TestRunExperiment:

@@ -109,7 +109,7 @@ class TestTallyKernel:
     @pytest.mark.parametrize("k", [1, 5, 25])
     def test_non_contiguous_view(self, k):
         inst = MmdpInstance(k=k)
-        big = random_genome(2 * inst.length, np.random.default_rng(k))
+        big = np.random.default_rng(k).integers(0, 2, size=2 * inst.length, dtype=np.uint8)
         g = big[::2]
         assert not g.flags.c_contiguous
         assert inst.tally(g) == oracle_tally(g, k)
@@ -118,8 +118,10 @@ class TestTallyKernel:
         inst, rng = MmdpInstance(k=25), np.random.default_rng(0)
         pop = init_population(GaParams(pop_size=4), inst, rng)
         for row, f in zip(pop.rows, pop.fit):
-            assert not row.flags.writeable
-            assert inst.tally(row) == oracle_tally(row, 25)
+            assert type(row) is bytes
+            with pytest.raises(TypeError):
+                row[0] ^= 1
+            assert inst.tally(row) == oracle_tally(np.frombuffer(row, np.uint8), 25)
             assert inst.evaluate(row) == f
 
 
@@ -247,6 +249,25 @@ class TestTally:
         with pytest.raises(ValueError):
             inst.tally(np.zeros(inst.length + delta, np.uint8))
 
+    @pytest.mark.parametrize("name", sorted(TALLY_PROBLEMS))
+    def test_accepted_genome_types(self, name):
+        # one byte per bit in any buffer; a strided view only where bytes() copies it
+        inst = TALLY_PROBLEMS[name]
+        g = np.random.default_rng(inst.length).integers(0, 2, size=inst.length, dtype=np.uint8)
+        mmdp = isinstance(inst, MmdpInstance)
+        expected = oracle_tally(g, inst.k) if mmdp else int(inst.weights @ g)
+        for genome in (g.tobytes(), bytearray(g.tobytes()), g, g.astype(bool)):
+            assert inst.tally(genome) == expected
+        for wrong in (g.tobytes()[:-1], g.tobytes() + b"\x01", g.astype(np.int64)):
+            with pytest.raises(ValueError, match=f"genome of {memoryview(wrong).nbytes} bytes"):
+                inst.tally(wrong)
+        view = np.repeat(g, 2)[::2]
+        if mmdp:
+            assert inst.tally(view) == expected
+        else:
+            with pytest.raises(ValueError, match="not C-contiguous"):
+                inst.tally(view)
+
 
 def permuted_blocks(g, order):
     return g.reshape(-1, 6)[order].ravel()
@@ -313,7 +334,7 @@ class TestMmdpBlockOrder:
         inst, rng = MmdpInstance(k=k), np.random.default_rng(k)
         changed = 0
         for _ in range(3000):
-            g = random_genome(inst.length, rng)
+            g = np.frombuffer(random_genome(inst.length, rng), np.uint8)
             changed += inst.evaluate(permuted_blocks(g, rng.permutation(k))) != inst.evaluate(g)
         assert changed == 0
 
