@@ -14,7 +14,9 @@ It runs, one after another and each to completion:
 - the Tier-1 suite, timed on the wall clock.
 
 The file also records the git SHA (and whether the tree had uncommitted
-changes) and each workload's `records_sha256` from the `--trace 0` pass.
+changes), each workload's `records_sha256` from the `--trace 0` pass, and
+`src_lines`: the lines of each module of `src/hydrocm/` and their total, as
+`wc -l src/hydrocm/*.py` counts them.
 Takes about 10 minutes on a 2-core host.
 """
 
@@ -54,6 +56,13 @@ def perfbench(trace: int) -> dict:
     return {"command": cmd[1:], **json.loads(proc.stdout.rstrip("\n").rsplit("\n", 1)[-1])}
 
 
+def src_lines() -> dict:
+    """Newline characters per `src/hydrocm/*.py` file, the count `wc -l`
+    prints, and their total."""
+    modules = {p.name: p.read_bytes().count(b"\n") for p in sorted((ROOT / "src" / "hydrocm").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         sys.exit(__doc__.split("\n\n")[1])
@@ -87,6 +96,7 @@ def main(argv) -> int:
         "perfbench_trace0": untraced,
         "perfbench_trace1": traced,
         "records_sha256": records,
+        "src_lines": src_lines(),
         "hydrocm_run": {
             "command": ["hydrocm", *cmd[3:-2]],
             "wall_s": run_s,

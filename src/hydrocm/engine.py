@@ -55,9 +55,6 @@ class VirtualScheduler:
         self.scale = math.lcm(*(p.denominator for p in periods))
         self.periods = [int(p * self.scale) for p in periods]
 
-    def ticks(self, micro: int) -> float:
-        return micro / self.scale
-
     def __iter__(self):
         heap = [(period, idx) for idx, period in enumerate(self.periods)]
         heapq.heapify(heap)
@@ -171,7 +168,7 @@ class _Island:
 class _GaIsland(_Island):
     def initialize(self) -> tuple[int, float]:
         self.pop = ga_mod.init_population(self.params, self.problem, self.rng)
-        return self.pop.size, self.pop.best_fitness()
+        return len(self.pop.fit), max(self.pop.fit)
 
     def step(self) -> float:
         self.iterations += 1
@@ -260,7 +257,7 @@ def run_experiment(config: RunConfig) -> RunResult:
             elapsed_micro = micro
             if f > global_best:
                 global_best = f
-                trace.append((scheduler.ticks(micro), global_best))
+                trace.append((micro / scheduler.scale, global_best))
                 if is_optimum(global_best, problem):
                     break
             # an immigrant's fitness came from an initialization or a step
@@ -271,7 +268,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     return RunResult(
         seed=config.seed,
         evaluations=used,
-        elapsed_ms=scheduler.ticks(elapsed_micro),
+        elapsed_ms=elapsed_micro / scheduler.scale,
         best=global_best,
         success=is_optimum(global_best, problem),
         trace=trace,

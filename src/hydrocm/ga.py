@@ -74,10 +74,6 @@ class Population:
         self._worst: int | None = None
 
     @property
-    def size(self) -> int:
-        return len(self.fit)
-
-    @property
     def fitness(self) -> np.ndarray:
         """`fit` as a new array. It exists only for the benchmark tracer's
         offspring probe, `pop.fitness.min()` in perfbench/tracer.py, which
@@ -102,9 +98,6 @@ class Population:
         fit[w] = fitness
         if fitness > old:
             self._worst = None
-
-    def best_fitness(self) -> float:
-        return max(self.fit)
 
 
 def init_population(params: GaParams, problem, rng) -> Population:

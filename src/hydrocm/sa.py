@@ -79,10 +79,6 @@ class SaState:
     step: int = 0
 
 
-def _frozen(genome: Genome, fitness: float) -> tuple[bytes, float]:
-    return bytes(genome), fitness
-
-
 def perturb(length: int, p_per_bit: float, rng) -> list[int]:
     """The annealer's move: ascending positions of independent per-bit flips
     over `length` bits, p_per_bit in (0, 1] as `SaParams` guarantees."""
@@ -125,7 +121,7 @@ def init_sa_state(params: SaParams, problem, rng) -> SaState:
     tally = problem.tally(genome)
     f = problem.fitness_of(tally)
     t0 = params.t0 if params.t0 is not None else estimate_t0(problem, rng)
-    return SaState(genome, f, tally, _frozen(genome, f), t0=t0, temperature=t0)
+    return SaState(genome, f, tally, (bytes(genome), f), t0=t0, temperature=t0)
 
 
 def sa_step(state: SaState, params: SaParams, problem, rng) -> None:
@@ -142,7 +138,7 @@ def sa_step(state: SaState, params: SaParams, problem, rng) -> None:
         state.fitness = f
         state.tally = tally
         if f > state.best[1]:
-            state.best = _frozen(genome, f)
+            state.best = (bytes(genome), f)
     state.step += 1
     state.temperature = update_temperature(state.t0, state.step, params)
 
@@ -158,4 +154,4 @@ def inject_immigrant(state: SaState, genome: Genome, problem, rng) -> None:
         state.fitness = f
         state.tally = tally
         if f > state.best[1]:
-            state.best = _frozen(genome, f)
+            state.best = (bytes(genome), f)

@@ -79,10 +79,11 @@ class BufferedRng:
             self._i = i
 
     def flip_gaps(self, bits, log_q: float) -> None:
-        """Flip in the bytearray `bits`, during the walk, the positions
-        that `gap_positions(len(bits), log_q)` returns, with the same draws.
-        It serves the ssGA (+4.8% evals/s on mmdp25-ring8-mig1 over flipping
-        a list); the SA scores a move before applying it, so it needs the list."""
+        """Flip in the bytearray `bits`, during the walk, the positions that
+        `gap_positions(len(bits), log_q)` returns, with the same draws. For an
+        ssGA mutation this takes 0.67-0.81 us, against 0.88-1.13 us to flip that
+        list (L = 30 to 2048, 2-core Xeon): about 3% of an mmdp25-ring8-mig1
+        evaluation. The SA scores a move before applying it, so it needs the list."""
         length = len(bits)
         pos = -1
         while True:

@@ -82,10 +82,6 @@ class BondSpec:
         if isinstance(m, bool) or not isinstance(m, int) or m not in (1, 2, 3):
             raise ValueError(f"multiplicity must be the integer 1, 2 or 3, got {m!r}")
 
-    @property
-    def pair(self) -> frozenset:
-        return frozenset((self.a, self.b))
-
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -101,9 +97,6 @@ class TopologySpec:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be unique")
-
-    def node_ids(self) -> list[str]:
-        return [n.id for n in self.nodes]
 
     def bond_degree(self) -> dict[str, int]:
         """Total bond multiplicity per node id."""
@@ -187,7 +180,7 @@ def validate_topology(spec: TopologySpec) -> list[str]:
     connectivity makes the bonds one directed cycle over every node."""
     ring = spec.kind == KIND_RING
     violations = [] if spec.nodes else ["topology has no nodes"]
-    root = {i: i for i in spec.node_ids()}
+    root = {n.id: n.id for n in spec.nodes}
 
     def find(i: str) -> str:
         while root[i] != i:
@@ -200,7 +193,7 @@ def validate_topology(spec: TopologySpec) -> list[str]:
         unknown = [e for e in (b.a, b.b) if e not in root]
         for endpoint in unknown:
             violations.append(f"bond {b.a}-{b.b} references unknown node {endpoint}")
-        link = (b.a, b.b) if ring else b.pair
+        link = (b.a, b.b) if ring else frozenset((b.a, b.b))
         if link in links:
             violations.append(f"duplicate bond between {b.a} and {b.b}")
         links.add(link)

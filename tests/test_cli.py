@@ -30,6 +30,8 @@ from hydrocm.topology import (
     validate_topology,
 )
 
+from conftest import read_trace
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -188,6 +190,11 @@ class TestRun:
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_s"}, **{field: value})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    def test_integral_float_reads_as_its_integer(self, tmp_path):
+        cfg = load_experiment_config(write_config(tmp_path / "exp.yaml", budget=2000.0, migration_count=2.0))
+        got = (cfg.run.evaluation_budget, cfg.run.migration_count)
+        assert got == (2000, 2) and all(type(v) is int for v in got)
+
     @pytest.mark.parametrize(
         "section, fieldname",
         [
@@ -208,8 +215,8 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "positions, code",
-        [("03", 2), (3, 2), ([1.5], 2), ([True], 2), (["03"], 2), ([0, 3], 0)],
-        ids=["string", "scalar", "float", "bool", "string-item", "list"],
+        [("03", 2), (3, 2), ([1.5], 2), ([True], 2), (["03"], 2), ([0, 3], 0), ([4], 2), ([9], 2)],
+        ids=["string", "scalar", "float", "bool", "string-item", "list", "past-the-end", "out-of-range"],
     )
     def test_fast_positions_must_be_integer_list(self, tmp_path, capsys, positions, code):
         setup = {"kind": "ring", "n": 4, "fast_positions": positions}
@@ -275,6 +282,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         (field,) = ga
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_user_mutation_rate_reaches_the_run(self, tmp_path):
+        # with neither crossover nor mutation every child copies a parent, so
+        # no run raises its best after initialization; the default 4/L would
+        ga = {"p_crossover": 0.0, "p_mutation_per_bit": 0.0}
+        cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 5}, ga=ga, repetitions=3, budget=3_000)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert all(r.evaluations == 3_000 for r in read_records(tmp_path / "o" / "records.csv"))
+        traces = sorted((tmp_path / "o" / "traces").iterdir())
+        assert len(traces) == 3 and all(len(read_trace(t)) == 1 for t in traces)
 
     def test_null_params_are_the_defaults(self, tmp_path):
         options = {"setup": {"kind": "ethane_g"}, "repetitions": 2, "budget": 5_000}
@@ -544,6 +561,16 @@ class TestReport:
         cell = row[header.index("speedup")]
         assert cell == format_speedup(speedup([15995.0], [5318.0])) == "3.01"
 
+    def test_group_that_solved_nothing_has_no_p_value(self, tmp_path, capsys):
+        solved, unsolved = tmp_path / "solved.csv", tmp_path / "unsolved.csv"
+        solved.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,1.0,5.0,1\n2,20,2.0,5.0,1\n")
+        unsolved.write_text("seed,evaluations,elapsed_ms,best,success\n1,30,3.0,4.0,0\n")
+        assert main(["report", str(solved), str(unsolved)]) == 0
+        header, *rows = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        cells = {row[0]: dict(zip(header, row)) for row in rows}
+        assert cells["solved"]["p_vs_unsolved"] == cells["unsolved"]["p_vs_solved"] == "*"
+        assert cells["solved"]["p_vs_solved"] == cells["unsolved"]["p_vs_unsolved"] == "-"
+
     def test_zero_time_group_has_no_speedup(self, tmp_path, capsys):
         # a run that solves during initialization reports elapsed_ms 0.0
         ref, group = tmp_path / "ref.csv", tmp_path / "group.csv"
@@ -746,6 +773,28 @@ class TestValidateTopology:
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "custom", "topology": str(path)})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'setup.topology'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("document", "kind", "star", "unknown topology kind 'star'"),
+            ("node", "id", "C0", "node ids must be unique"),
+            ("node", "atom", "helium", "unknown atom 'helium'"),
+            ("node", "algorithm", "ga", "unknown algorithm 'ga'"),
+            ("bond", "b", "C0", "bond endpoints must differ, got 'C0' twice"),
+            ("nodes", 2, "H0", "node must be a mapping, got 'H0'"),
+        ],
+        ids=["kind", "duplicate-id", "atom", "algorithm", "self-bond", "node-not-a-mapping"],
+    )
+    def test_invalid_spec_value_is_input_error(self, tmp_path, capsys, where, key, value, message):
+        doc = asdict(ethane_topology("G"))
+        nodes = doc["nodes"] = list(doc["nodes"])
+        target = {"document": doc, "nodes": nodes, "node": nodes[2], "bond": doc["bonds"][1]}[where]
+        target[key] = value
+        path = tmp_path / "bad.topology"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["validate-topology", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_duplicate_key_is_input_error(self, tmp_path, capsys):
         text = (REPO_ROOT / "topologies" / "ethane_g.topology").read_text()

@@ -414,6 +414,12 @@ class TestRunExperiment:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("field", ["migration_frequency", "migration_count"])
+    def test_migration_setting_below_one_rejected(self, field):
+        # the CLI rejects these under its own field names, so no config file reaches this check
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            RunConfig(ethane_topology("G"), MmdpInstance(k=1), 1_000, 0, **{field: 0})
+
     def test_init_only_budget(self):
         res = run_experiment(
             RunConfig(

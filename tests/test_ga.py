@@ -44,6 +44,9 @@ class TestGaParams:
             ({"p_mutation_per_bit": -0.1}, "p_mutation_per_bit"),
             ({"p_mutation_per_bit": 1.5}, "p_mutation_per_bit"),
             ({"pop_size": 1}, "pop_size"),
+            ({"p_crossover": -0.1}, "p_crossover"),
+            ({"p_crossover": 1.5}, "p_crossover"),
+            ({"tournament_size": 0}, "tournament_size"),
         ],
     )
     def test_out_of_range_rejected(self, kwargs, field):
@@ -79,7 +82,7 @@ class TestInitPopulation:
     def test_fitness_caches_valid(self):
         prob = MmdpInstance(k=2)
         pop = init_population(GaParams(pop_size=16), prob, node_rng(3))
-        for i in range(pop.size):
+        for i in range(len(pop.fit)):
             assert pop.fit[i] == prob.evaluate(pop.rows[i])
 
 
@@ -345,9 +348,9 @@ class TestSsgaStep:
         params = GaParams(pop_size=8).resolved_for(prob.length)
         pop = init_population(params, prob, rng)
         for _ in range(2_000):
-            best_before = pop.best_fitness()
+            best_before = max(pop.fit)
             _offspring_step(pop, params, prob, rng)
-            if pop.best_fitness() > best_before:
+            if max(pop.fit) > best_before:
                 return  # the improving offspring is present as the new best
         pytest.fail("no improving offspring observed")
 
@@ -356,10 +359,10 @@ class TestSsgaStep:
         rng = node_rng(47)
         params = GaParams(pop_size=16).resolved_for(prob.length)
         pop = init_population(params, prob, rng)
-        best = pop.best_fitness()
+        best = max(pop.fit)
         for _ in range(1_000):
             _offspring_step(pop, params, prob, rng)
-            now = pop.best_fitness()
+            now = max(pop.fit)
             assert now >= best
             best = now
 
@@ -379,7 +382,7 @@ class TestSsgaStep:
         pop = init_population(params, prob, rng)
         for _ in range(500):
             _offspring_step(pop, params, prob, rng)
-            assert pop.size == 8
+            assert len(pop.fit) == 8
 
 
 class TestWorstIndexCache:
@@ -410,27 +413,27 @@ class TestImmigrate:
     def test_worse_immigrant_becomes_new_worst(self):
         pop = make_population([2.0, 3.0, 4.0])
         pop.replace_worst(np.zeros(8, dtype=np.uint8), 1.0)
-        assert pop.best_fitness() == 4.0
+        assert max(pop.fit) == 4.0
         assert pop.fitness.min() == 1.0
 
     def test_better_immigrant_becomes_best(self):
         pop = make_population([2.0, 3.0, 4.0])
         pop.replace_worst(np.ones(8, dtype=np.uint8), 9.0)
-        assert pop.best_fitness() == 9.0
+        assert max(pop.fit) == 9.0
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=2, max_size=32), st.floats(0, 100))
     def test_size_conserved(self, fits, incoming_fitness):
         pop = make_population(fits)
-        size = pop.size
+        size = len(pop.fit)
         pop.replace_worst(np.zeros(8, dtype=np.uint8), incoming_fitness)
-        assert pop.size == size
+        assert len(pop.fit) == size
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=2, max_size=32), st.floats(0, 100))
     def test_best_never_decreases(self, fits, incoming_fitness):
         pop = make_population(fits)
-        before = pop.best_fitness()
+        before = max(pop.fit)
         pop.replace_worst(np.zeros(8, dtype=np.uint8), incoming_fitness)
-        assert pop.best_fitness() >= before
+        assert max(pop.fit) >= before
 
 
 class TestSelectEmigrant:
@@ -492,7 +495,7 @@ class TestPopulation:
                 _offspring_step(pop, params, problem, rng)
             assert pop.worst_index() == pop.fit.index(min(pop.fit))
             assert all(type(f) is float for f in pop.fit)
-            assert len(pop.rows) == pop.size
+            assert len(pop.rows) == len(pop.fit)
             for row in pop.rows:
                 assert type(row) is bytes and len(row) == problem.length
 

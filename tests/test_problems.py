@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hydrocm.ga import GaParams, init_population
 from hydrocm.problems import (
+    WEIGHT_MAX,
     MmdpInstance,
     SubsetSumInstance,
     generate_ssp_instance,
@@ -152,6 +153,10 @@ class TestMmdpFitness:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             MmdpInstance(k=1).evaluate(bits("0101"))
+
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            MmdpInstance(k=0)
 
     @given(st.integers(1, 8), st.data())
     def test_complement_symmetry(self, k, data):
@@ -350,6 +355,33 @@ class TestSspFitness:
 
     def test_empty_subset(self):
         assert self.inst.evaluate(bits("0000")) == 0.0
+
+    @pytest.mark.parametrize(
+        "weights, capacity, known_optimum, message",
+        [
+            ([], 0, 0, "non-empty 1-D"),
+            ([[3, 5], [8, 13]], 16, 16, "non-empty 1-D"),
+            ([3, -1], 2, 2, "weights must lie in"),
+            ([3, WEIGHT_MAX + 1], 3, 3, "weights must lie in"),
+            ([3, 5], 9, 8, "capacity must lie in"),
+            ([3, 5], -1, 0, "capacity must lie in"),
+            ([3, 5], 7, 8, "known_optimum must lie in"),
+            ([3, 5], 7, -1, "known_optimum must lie in"),
+        ],
+        ids=[
+            "no-weights",
+            "2-D-weights",
+            "negative-weight",
+            "weight-above-max",
+            "capacity-above-sum",
+            "negative-capacity",
+            "optimum-above-capacity",
+            "negative-optimum",
+        ],
+    )
+    def test_rejects_out_of_range_instance(self, weights, capacity, known_optimum, message):
+        with pytest.raises(ValueError, match=message):
+            SubsetSumInstance(weights=np.array(weights, dtype=np.int64), capacity=capacity, known_optimum=known_optimum)
 
     def test_over_capacity_penalty(self):
         # all four weights sum to 29; the reflected penalty gives 16-(29-16)=3

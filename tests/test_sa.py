@@ -42,6 +42,25 @@ class TestSaParams:
     def test_perturb_rate_in_unit_interval_accepted(self, p):
         assert SaParams(p_perturb_per_bit=p).p_perturb_per_bit == p
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"schedule": "linear"}, "schedule must be one of"),
+            ({"schedule_rate": 0.0}, "schedule_rate must be positive"),
+            ({"schedule": "geometric", "schedule_rate": -0.5}, "schedule_rate must be positive"),
+            ({"schedule": "geometric", "schedule_rate": 1.5}, "geometric schedule_rate must be in"),
+        ],
+        ids=["unknown-schedule", "fast-zero-rate", "geometric-negative-rate", "geometric-rate-above-one"],
+    )
+    def test_bad_schedule_rejected(self, kwargs, message):
+        # update_temperature relies on these and does not check them
+        with pytest.raises(ValueError, match=message):
+            SaParams(**kwargs)
+
+    def test_rate_above_one_is_a_fast_schedule_rate(self):
+        assert SaParams(schedule_rate=1.5).schedule_rate == 1.5
+        assert SaParams(schedule="geometric", schedule_rate=1.0).schedule_rate == 1.0
+
 
 class TestPerturb:
     def test_rate_one_is_complement(self, rng):

@@ -48,7 +48,7 @@ class TestEthane:
     def test_variant_s_swaps_algorithms(self):
         g = ethane_topology("G")
         s = ethane_topology("S")
-        assert [b.pair for b in g.bonds] == [b.pair for b in s.bonds]
+        assert [frozenset((b.a, b.b)) for b in g.bonds] == [frozenset((b.a, b.b)) for b in s.bonds]
         assert {n.algorithm for n in s.nodes if n.atom == "carbon"} == {"sa"}
         assert {n.algorithm for n in s.nodes if n.atom == "hydrogen"} == {"ssga"}
 
@@ -75,7 +75,7 @@ class TestRing:
         channels = compile_channels(spec)
         assert len(spec.nodes) == 8
         assert len(channels) == 8
-        assert sorted(c.src for c in channels) == sorted(spec.node_ids())
+        assert sorted(c.src for c in channels) == sorted(n.id for n in spec.nodes)
 
     def test_fast_positions(self):
         spec = ring_topology(8, {0, 3})
@@ -96,7 +96,7 @@ class TestRing:
         for hop in range(1, len(spec.nodes)):
             cursor = succ[cursor]
             reached.setdefault(cursor, hop)
-        assert set(reached) == set(spec.node_ids())
+        assert set(reached) == {n.id for n in spec.nodes}
         assert max(reached.values()) == len(spec.nodes) - 1
 
     def test_rejects_bad_positions(self):
@@ -165,7 +165,7 @@ class TestValidateHydrocarbon:
 def ring_reference(spec):
     """One cycle over all nodes: every node has exactly one known successor,
     and the walk from the first node meets each node once and comes back."""
-    ids = spec.node_ids()
+    ids = [n.id for n in spec.nodes]
     succ = {b.a: b.b for b in spec.bonds}
     if not ids or len(spec.bonds) != len(ids) or set(succ) != set(ids) or not set(succ.values()) <= set(ids):
         return False
@@ -179,10 +179,10 @@ def ring_reference(spec):
 def hydrocarbon_reference(spec):
     """Known endpoints, no repeated unordered pair, valence, and one
     breadth-first component over all nodes."""
-    ids = spec.node_ids()
+    ids = [n.id for n in spec.nodes]
     if not ids or any(e not in ids for b in spec.bonds for e in (b.a, b.b)):
         return False
-    if len({b.pair for b in spec.bonds}) != len(spec.bonds):
+    if len({frozenset((b.a, b.b)) for b in spec.bonds}) != len(spec.bonds):
         return False
     degree = Counter()
     for b in spec.bonds:
