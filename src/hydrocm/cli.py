@@ -7,24 +7,16 @@ Exit codes: 0 success, 1 validation findings, 2 input error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .engine import RunConfig, run_experiment
-from .ga import GaParams
+from .ga import GaParams, check_real
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance, save_instance
 from .records import DECIMAL, read_records, write_records, write_trace
 from .sa import SaParams
-from .stats import (
-    SUMMARY_COLUMNS,
-    format_speedup,
-    mann_whitney_u,
-    speedup,
-    summarize_experiment,
-    summary_cells,
-)
+from .stats import SUMMARY_COLUMNS, mann_whitney_u, speedup, summary_cells
 from .topology import (
     DEFAULT_SLOW_FACTOR,
     TopologyValidationError,
@@ -194,12 +186,12 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     if data.get("mode", "virtual") != "virtual":
         raise ConfigError("mode", f"must be 'virtual', got {data['mode']!r}")
 
-    slow_factor = data.get("slow_factor", DEFAULT_SLOW_FACTOR)
-    if isinstance(slow_factor, bool) or not isinstance(slow_factor, (int, float)):
-        raise ConfigError("slow_factor", f"expected a number, got {slow_factor!r}")
-    if not (math.isfinite(slow_factor) and slow_factor > 0):
-        raise ConfigError("slow_factor", f"must be positive and finite, got {slow_factor!r}")
-    slow_factor = float(slow_factor)
+    try:
+        slow_factor = check_real("slow_factor", data.get("slow_factor", DEFAULT_SLOW_FACTOR))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("slow_factor", str(exc)) from None
+    if slow_factor <= 0:
+        raise ConfigError("slow_factor", f"must be positive, got {slow_factor!r}")
     problem, problem_label = _build_problem(_require(data, "problem"))
     setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
     if "slow_factor" in data and setup not in SLOW_FACTOR_SETUPS:
@@ -261,7 +253,7 @@ def cmd_run(args) -> int:
         return EXIT_INPUT
 
     print(",".join(["algorithm", "problem", *SUMMARY_COLUMNS]))
-    print(",".join([cfg.setup, cfg.problem_label, *summary_cells(summarize_experiment(rows))]))
+    print(",".join([cfg.setup, cfg.problem_label, *summary_cells(rows)]))
     return EXIT_OK
 
 
@@ -303,11 +295,11 @@ def cmd_report(args) -> int:
 
     lines = [",".join(header)]
     for label, rows in groups:
-        cells = [label, *summary_cells(summarize_experiment(rows))]
+        cells = [label, *summary_cells(rows)]
         mine = [r.elapsed_ms for r in rows if r.success]
         if sequential is not None:
             try:
-                cells.append(format_speedup(speedup(seq_solved, mine)))
+                cells.append(f"{speedup(seq_solved, mine):.2f}")
             except ValueError:  # no solved run on one side, or a zero mean time
                 cells.append("*")
         if len(groups) > 1:

@@ -218,10 +218,10 @@ def _build_islands(config: RunConfig) -> list[_Island]:
         islands.append(island)
         by_id[node.id] = island
 
-    for cspec in channels:
-        channel = Channel(cspec.batch_size * config.migration_count)
-        by_id[cspec.src].out_channels.append(channel)
-        by_id[cspec.dst].in_channels.append(channel)
+    for src, dst, multiplicity in channels:
+        channel = Channel(multiplicity * config.migration_count)
+        by_id[src].out_channels.append(channel)
+        by_id[dst].in_channels.append(channel)
     return islands
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,13 +20,14 @@ def default_mutation_rate(length: int) -> float:
     return min(1.0, 4.0 / length)
 
 
-def check_real(name: str, value) -> None:
-    """Reject a parameter that is not a finite real number; a bool is not
-    one. The error names the parameter."""
+def check_real(name: str, value) -> float:
+    """`value` as a float if it is a finite real number; a bool is not one,
+    nor an int past the float range. The error names the parameter."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # exact for any int; False for nan
+        raise ValueError(f"{name} must be finite and within the float range, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,8 @@ class Population:
 def init_population(params: GaParams, problem, rng) -> Population:
     """Uniformly random population with valid fitness caches
     (costs pop_size evaluations)."""
+    if params.pop_size * problem.length > sys.maxsize:  # past the address space, where numpy raises ValueError
+        raise MemoryError(f"cannot allocate a population of {params.pop_size} genomes of {problem.length} bytes")
     genomes = rng.integers(0, 2, size=(params.pop_size, problem.length), dtype=np.uint8)
     return Population(genomes, [problem.evaluate(g) for g in genomes])
 

@@ -14,6 +14,7 @@ evaluation give the same float.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,6 +58,8 @@ class MmdpInstance:
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         object.__setattr__(self, "length", MMDP_BLOCK_BITS * self.k)
+        if self.length > sys.maxsize:  # past the address space, where numpy raises ValueError
+            raise MemoryError(f"cannot allocate a genome of 6 * k bytes for k={self.k}")
 
     @property
     def optimum(self) -> float:
@@ -179,6 +182,8 @@ def generate_ssp_instance(n: int, seed: int) -> SubsetSumInstance:
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    if 8 * n > sys.maxsize:  # n float64 weights past the address space, where numpy raises ValueError
+        raise MemoryError(f"cannot allocate {n} weights of 8 bytes")
     rng = np.random.default_rng(seed)
     raw = rng.normal(WEIGHT_MAX / 2.0, WEIGHT_MAX / 6.0, size=n)
     weights = np.clip(np.rint(raw), 0, WEIGHT_MAX).astype(np.int64)

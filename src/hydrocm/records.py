@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,16 +54,9 @@ class RunResult(RecordRow):
     per_island: dict[str, IslandStats]
 
 
-def _format_row(row: RecordRow) -> str:
-    return (
-        f"{row.seed},{row.evaluations},{row.elapsed_ms!r},"
-        f"{row.best!r},{int(row.success)}"
-    )
-
-
 def write_records(path, rows: list[RecordRow]) -> None:
     lines = [RECORD_HEADER]
-    lines.extend(_format_row(r) for r in rows)
+    lines.extend(f"{r.seed},{r.evaluations},{r.elapsed_ms!r},{r.best!r},{int(r.success)}" for r in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -100,6 +94,8 @@ def read_records(path) -> list[RecordRow]:
             for name, cell in zip(("seed", "evaluations"), parts):
                 if not DECIMAL.fullmatch(cell):
                     raise ValueError(f"{name} must be a decimal integer, got {cell!r}")
+            if int(parts[1]) > sys.maxsize:  # past any real run, and `report` squares deviations as floats
+                raise ValueError(f"evaluations must be at most {sys.maxsize}, got {parts[1]!r}")
             if parts[4] not in ("0", "1"):
                 raise ValueError(f"success must be 0 or 1, got {parts[4]!r}")
             rows.append(

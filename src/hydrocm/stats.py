@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .records import RecordRow
@@ -18,14 +17,10 @@ from .records import RecordRow
 EXACT_LIMIT = 8
 
 
-def _values(sample) -> list[float]:
-    return [float(v) for v in sample]
-
-
 def mean_std(sample) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation (n-1 denominator);
     a singleton has deviation 0 by convention."""
-    xs = _values(sample)
+    xs = [float(v) for v in sample]
     if not xs:
         raise ValueError("sample is empty")
     n = len(xs)
@@ -38,16 +33,12 @@ def mean_std(sample) -> tuple[float, float]:
 
 def speedup(sequential, parallel) -> float:
     """Ratio of mean sequential to mean parallel execution time. Rounding
-    happens only at presentation (see format_speedup)."""
+    happens only at presentation (two decimals in `hydrocm report`)."""
     seq_mean, _ = mean_std(sequential)
     par_mean, _ = mean_std(parallel)
     if par_mean == 0:
         raise ValueError("parallel mean time is zero; speedup undefined")
     return seq_mean / par_mean
-
-
-def format_speedup(value: float) -> str:
-    return f"{value:.2f}"
 
 
 class MannWhitneyResult(NamedTuple):
@@ -82,7 +73,7 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     continuity correction is used. Swapping the samples maps U to
     n_a*n_b - U and leaves p unchanged.
     """
-    xs, ys = _values(a), _values(b)
+    xs, ys = [float(v) for v in a], [float(v) for v in b]
     if not xs or not ys:
         raise ValueError("both samples must be non-empty")
     n_a, n_b = len(xs), len(ys)
@@ -120,50 +111,18 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
 SUMMARY_COLUMNS = ("runs", "successes", "success_rate", "eval_mean", "eval_std", "time_mean", "time_std")
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    """One aggregate line in the style of the benchmark tables: means and
-    deviations over successful runs only, with the success rate alongside.
-    Aggregates are None when no run succeeded (rendered as '*')."""
-
-    runs: int
-    successes: int
-    success_rate: float
-    eval_mean: float | None = None
-    eval_std: float | None = None
-    time_mean: float | None = None
-    time_std: float | None = None
-
-
-def summary_cells(row: SummaryRow) -> list[str]:
-    """The `SUMMARY_COLUMNS` cells of one table row, '*' for a missing
-    aggregate. `hydrocm run` prefixes them with the setup and problem,
-    `hydrocm report` with the file's label."""
-    aggregates = (row.eval_mean, row.eval_std, row.time_mean, row.time_std)
-    return [
-        str(row.runs),
-        str(row.successes),
-        f"{row.success_rate}",
-        *("*" if v is None else f"{v}" for v in aggregates),
-    ]
-
-
-def summarize_experiment(runs: list[RecordRow]) -> SummaryRow:
-    """Aggregate one experiment's record rows; failed runs are excluded
-    from the to-optimum statistics and surface only via success_rate."""
-    if not runs:
+def summary_cells(rows: list[RecordRow]) -> list[str]:
+    """The `SUMMARY_COLUMNS` cells of one experiment's record rows in the
+    style of the benchmark tables: means and deviations over the solved
+    runs only, '*' when none solved, with the success rate alongside.
+    `hydrocm run` prefixes them with the setup and problem, `hydrocm
+    report` with the file's label."""
+    if not rows:
         raise ValueError("need at least one run")
-    solved = [r for r in runs if r.success]
-    eval_mean = eval_std = time_mean = time_std = None
-    if solved:
-        eval_mean, eval_std = mean_std([r.evaluations for r in solved])
-        time_mean, time_std = mean_std([r.elapsed_ms for r in solved])
-    return SummaryRow(
-        runs=len(runs),
-        successes=len(solved),
-        success_rate=len(solved) / len(runs),
-        eval_mean=eval_mean,
-        eval_std=eval_std,
-        time_mean=time_mean,
-        time_std=time_std,
-    )
+    solved = [r for r in rows if r.success]
+    cells = [str(len(rows)), str(len(solved)), f"{len(solved) / len(rows)}"]
+    if not solved:
+        return cells + ["*"] * 4
+    for sample in ([r.evaluations for r in solved], [r.elapsed_ms for r in solved]):
+        cells.extend(f"{v}" for v in mean_std(sample))
+    return cells

@@ -8,12 +8,13 @@ a separate kind that bypasses valence rules.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
+
+from .ga import check_real
 
 CARBON = "carbon"
 HYDROGEN = "hydrogen"
@@ -54,10 +55,9 @@ class NodeSpec:
             raise ValueError(f"unknown atom {self.atom!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        sf = self.speed_factor
-        if isinstance(sf, bool) or not isinstance(sf, (int, float)) or not (math.isfinite(sf) and sf > 0):
-            raise ValueError(f"speed_factor must be a finite positive number, got {sf!r}")
-        object.__setattr__(self, "speed_factor", float(sf))
+        object.__setattr__(self, "speed_factor", check_real("speed_factor", self.speed_factor))
+        if self.speed_factor <= 0:
+            raise ValueError(f"speed_factor must be positive, got {self.speed_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,6 @@ class TopologySpec:
             if b.b in deg:
                 deg[b.b] += b.multiplicity
         return deg
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    src: str
-    dst: str
-    batch_size: int
 
 
 def ethane_topology(variant: str, slow_factor: float = DEFAULT_SLOW_FACTOR) -> TopologySpec:
@@ -224,15 +217,15 @@ def validate_topology(spec: TopologySpec) -> list[str]:
     return violations
 
 
-def compile_channels(spec: TopologySpec) -> tuple[ChannelSpec, ...]:
-    """Directed migration channels of a valid spec: two opposite channels
-    per hydrocarbon bond, one per ring bond; batch_size equals the bond
-    multiplicity."""
+def compile_channels(spec: TopologySpec) -> tuple[tuple[str, str, int], ...]:
+    """Directed migration channels of a valid spec as (src, dst,
+    multiplicity) triples: two opposite channels per hydrocarbon bond, one
+    per ring bond."""
     channels = []
     for b in spec.bonds:
-        channels.append(ChannelSpec(b.a, b.b, b.multiplicity))
+        channels.append((b.a, b.b, b.multiplicity))
         if spec.kind != KIND_RING:
-            channels.append(ChannelSpec(b.b, b.a, b.multiplicity))
+            channels.append((b.b, b.a, b.multiplicity))
     return tuple(channels)
 
 

@@ -17,7 +17,7 @@ from hydrocm.cli import CONFIG_KEYS, PROBLEMS, SETUPS, load_experiment_config, m
 from hydrocm.ga import GaParams
 from hydrocm.records import RECORD_HEADER, read_records
 from hydrocm.sa import SaParams
-from hydrocm.stats import format_speedup, speedup
+from hydrocm.stats import speedup
 from hydrocm.topology import (
     BondSpec,
     NodeSpec,
@@ -302,7 +302,7 @@ class TestRun:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
         assert (tmp_path / "a" / "records.csv").read_bytes() == (tmp_path / "b" / "records.csv").read_bytes()
 
-    @pytest.mark.parametrize("value", ["fast", float("nan"), float("inf"), 0, True])
+    @pytest.mark.parametrize("value", ["fast", float("nan"), float("inf"), 0, True, pytest.param(10**400, id="10**400")])
     def test_bad_slow_factor_is_config_error(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_g"}, slow_factor=value)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -381,8 +381,23 @@ class TestRun:
             ("sa", "t0", True),
             ("sa", "schedule_rate", float("inf")),
             ("ga", "p_crossover", "hot"),
+            ("ga", "p_crossover", 10**400),
+            ("ga", "p_mutation_per_bit", 10**400),
+            ("sa", "t0", 10**400),
+            ("sa", "schedule_rate", 10**400),
+            ("sa", "p_perturb_per_bit", 10**400),
         ],
-        ids=["sa-t0-nan", "sa-t0-bool", "sa-schedule_rate-inf", "ga-p_crossover-string"],
+        ids=[
+            "sa-t0-nan",
+            "sa-t0-bool",
+            "sa-schedule_rate-inf",
+            "ga-p_crossover-string",
+            "ga-p_crossover-10**400",
+            "ga-p_mutation_per_bit-10**400",
+            "sa-t0-10**400",
+            "sa-schedule_rate-10**400",
+            "sa-p_perturb_per_bit-10**400",
+        ],
     )
     def test_non_finite_or_non_real_parameter_is_config_error(self, tmp_path, capsys, section, key, value):
         setup = {"kind": "panmictic_sa" if section == "sa" else "panmictic_ssga"}
@@ -454,25 +469,38 @@ class TestOutputIoFailure:
 
 
 class TestUnallocatableSize:
-    """A problem size past the address space is an input error: exit 2 with
-    `error: ...` on stderr and no traceback. An SSP instance is drawn while
-    the config loads, an MMDP population in the first repetition, after
-    `--out` exists. Both sizes fail at once; never put a size here that can
-    be allocated (k = 10**8 is about 38 GB)."""
+    """A problem size too large to allocate is an input error: exit 2 with
+    `error: ...` on stderr and no traceback. An SSP instance is drawn, and an
+    MMDP genome past the address space rejected, while the config loads; an
+    MMDP population is drawn in the first repetition, after `--out` exists.
+    Every size fails at once; never put a size here that can be allocated
+    (k = 10**8 is about 38 GB)."""
 
     @pytest.mark.parametrize(
-        "problem",
-        [{"kind": "mmdp", "k": 1_000_000_000_000_000}, {"kind": "ssp", "n": 1_000_000_000_000_000, "seed": 1}],
-        ids=["mmdp-in-repetition", "ssp-in-config-load"],
+        "problem, in_repetition",
+        [
+            ({"kind": "mmdp", "k": 1_000_000_000_000_000}, True),
+            ({"kind": "ssp", "n": 1_000_000_000_000_000, "seed": 1}, False),
+            ({"kind": "mmdp", "k": 10**17}, True),
+            ({"kind": "mmdp", "k": 10**400}, False),
+            ({"kind": "ssp", "n": 2**63, "seed": 1}, False),
+        ],
+        ids=[
+            "mmdp-in-repetition",
+            "ssp-in-config-load",
+            "mmdp-population-past-address-space",
+            "mmdp-genome-past-address-space",
+            "ssp-weights-past-address-space",
+        ],
     )
-    def test_exits_2_without_traceback(self, tmp_path, capsys, problem):
+    def test_exits_2_without_traceback(self, tmp_path, capsys, problem, in_repetition):
         cfg = write_config(tmp_path / "exp.yaml", problem=problem, repetitions=1)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "allocate" in err
         assert "Traceback" not in err
-        assert out.exists() == (problem["kind"] == "mmdp")
+        assert out.exists() == in_repetition
 
 
 class TestReport:
@@ -559,7 +587,7 @@ class TestReport:
         assert main(["report", str(group), "--sequential", str(ref)]) == 0
         header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
         cell = row[header.index("speedup")]
-        assert cell == format_speedup(speedup([15995.0], [5318.0])) == "3.01"
+        assert cell == f"{speedup([15995.0], [5318.0]):.2f}" == "3.01"
 
     def test_group_that_solved_nothing_has_no_p_value(self, tmp_path, capsys):
         solved, unsolved = tmp_path / "solved.csv", tmp_path / "unsolved.csv"
@@ -738,6 +766,7 @@ class TestValidateTopology:
             ("node", "speed_factor", True),
             ("node", "speed_factor", 0.0),
             ("node", "speed_factor", -1.0),
+            pytest.param("node", "speed_factor", 10**400, id="node-speed_factor-10**400"),
         ],
     )
     def test_unknown_key_or_bad_number_is_input_error(self, tmp_path, capsys, where, key, value):
@@ -783,8 +812,9 @@ class TestValidateTopology:
             ("node", "algorithm", "ga", "unknown algorithm 'ga'"),
             ("bond", "b", "C0", "bond endpoints must differ, got 'C0' twice"),
             ("nodes", 2, "H0", "node must be a mapping, got 'H0'"),
+            ("node", "speed_factor", 10**400, "speed_factor must be finite and within the float range"),
         ],
-        ids=["kind", "duplicate-id", "atom", "algorithm", "self-bond", "node-not-a-mapping"],
+        ids=["kind", "duplicate-id", "atom", "algorithm", "self-bond", "node-not-a-mapping", "speed_factor-10**400"],
     )
     def test_invalid_spec_value_is_input_error(self, tmp_path, capsys, where, key, value, message):
         doc = asdict(ethane_topology("G"))

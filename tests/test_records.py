@@ -1,4 +1,5 @@
 import re
+import sys
 from dataclasses import fields
 
 import pytest
@@ -83,6 +84,7 @@ def test_bad_cell_names_line(tmp_path, row, message):
         ("1,-10,5,1.0,1", "evaluations must be >= 1, got -10"),
         ("1,0,3.0,4.0,0", "evaluations must be >= 1, got 0"),
         ("1,2,-0.5,4.0,1", "elapsed_ms must be >= 0.0, got -0.5"),
+        pytest.param(f"1,{10**400},3.0,4.0,1", f"evaluations must be at most {sys.maxsize}", id="evaluations-10**400"),
     ],
 )
 def test_impossible_cell_names_line(tmp_path, row, message):

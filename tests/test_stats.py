@@ -7,13 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hydrocm.records import RecordRow
-from hydrocm.stats import (
-    format_speedup,
-    mann_whitney_u,
-    mean_std,
-    speedup,
-    summarize_experiment,
-)
+from hydrocm.stats import SUMMARY_COLUMNS, mann_whitney_u, mean_std, speedup, summary_cells
 
 
 def mann_whitney_oracle(xs, ys):
@@ -67,7 +61,7 @@ class TestSpeedup:
     def test_published_style_ratio(self):
         result = speedup((15995,), (5318,))
         assert abs(result - 3.00) <= 0.01
-        assert format_speedup(result) == f"{15995 / 5318:.2f}"
+        assert f"{result:.2f}" == f"{15995 / 5318:.2f}"
 
     def test_second_published_cell(self):
         assert abs(speedup([20627], [3052]) - 6.76) <= 0.01
@@ -208,34 +202,34 @@ class TestSummarizeExperiment:
         return rows
 
     def test_all_successful(self):
-        summary = summarize_experiment(self.rows(100, 0))
-        assert summary.success_rate == 1.0
-        assert summary.runs == 100
-        assert summary.eval_mean == pytest.approx(1000 + 49.5)
+        summary = dict(zip(SUMMARY_COLUMNS, summary_cells(self.rows(100, 0))))
+        assert float(summary["success_rate"]) == 1.0
+        assert summary["runs"] == "100"
+        assert float(summary["eval_mean"]) == pytest.approx(1000 + 49.5)
 
     def test_no_successes_flagged_unavailable(self):
-        summary = summarize_experiment(self.rows(0, 10))
-        assert summary.success_rate == 0.0
-        assert summary.eval_mean is None
-        assert summary.time_mean is None
+        summary = dict(zip(SUMMARY_COLUMNS, summary_cells(self.rows(0, 10))))
+        assert float(summary["success_rate"]) == 0.0
+        assert summary["eval_mean"] == "*"
+        assert summary["time_mean"] == "*"
 
     def test_mixed_partition(self):
-        summary = summarize_experiment(self.rows(90, 10))
-        assert summary.success_rate == 0.9
+        summary = dict(zip(SUMMARY_COLUMNS, summary_cells(self.rows(90, 10))))
+        assert float(summary["success_rate"]) == 0.9
         # failures excluded from the to-optimum aggregates
-        assert summary.eval_mean == pytest.approx(1000 + 44.5)
+        assert float(summary["eval_mean"]) == pytest.approx(1000 + 44.5)
 
     def test_hand_checked_five_rows(self):
         rows = [
             RecordRow(seed=i, evaluations=e, elapsed_ms=t, best=1.0, success=True)
             for i, (e, t) in enumerate([(10, 1.0), (20, 2.0), (30, 3.0), (40, 4.0), (50, 5.0)])
         ]
-        summary = summarize_experiment(rows)
-        assert summary.eval_mean == 30.0
-        assert summary.eval_std == pytest.approx(math.sqrt(250))
-        assert summary.time_mean == 3.0
-        assert summary.time_std == pytest.approx(math.sqrt(2.5))
+        summary = dict(zip(SUMMARY_COLUMNS, summary_cells(rows)))
+        assert summary["eval_mean"] == "30.0"
+        assert float(summary["eval_std"]) == pytest.approx(math.sqrt(250))
+        assert summary["time_mean"] == "3.0"
+        assert float(summary["time_std"]) == pytest.approx(math.sqrt(2.5))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize_experiment([])
+            summary_cells([])

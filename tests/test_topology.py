@@ -75,7 +75,7 @@ class TestRing:
         channels = compile_channels(spec)
         assert len(spec.nodes) == 8
         assert len(channels) == 8
-        assert sorted(c.src for c in channels) == sorted(n.id for n in spec.nodes)
+        assert sorted(src for src, _, _ in channels) == sorted(n.id for n in spec.nodes)
 
     def test_fast_positions(self):
         spec = ring_topology(8, {0, 3})
@@ -85,12 +85,12 @@ class TestRing:
 
     def test_two_node_ring(self):
         channels = compile_channels(ring_topology(2, {0}))
-        pairs = {(c.src, c.dst) for c in channels}
+        pairs = {(src, dst) for src, dst, _ in channels}
         assert pairs == {("N0", "N1"), ("N1", "N0")}
 
     def test_all_nodes_reachable_within_n_minus_1_hops(self):
         spec = ring_topology(8, {0, 3})
-        succ = {c.src: c.dst for c in compile_channels(spec)}
+        succ = {src: dst for src, dst, _ in compile_channels(spec)}
         reached = {"N0": 0}
         cursor = "N0"
         for hop in range(1, len(spec.nodes)):
@@ -251,7 +251,7 @@ class TestCompileChannels:
     def test_ethane_channel_count(self):
         channels = compile_channels(ethane_topology("G"))
         assert len(channels) == 14
-        assert all(c.batch_size == 1 for c in channels)
+        assert all(multiplicity == 1 for _, _, multiplicity in channels)
 
     def test_double_bond_batch(self):
         nodes = (
@@ -269,13 +269,13 @@ class TestCompileChannels:
             BondSpec("C1", "H2"),
             BondSpec("C1", "H3"),
         )
-        doubles = [c for c in compile_channels(TopologySpec(nodes, bonds)) if c.batch_size == 2]
-        assert {(c.src, c.dst) for c in doubles} == {("C0", "C1"), ("C1", "C0")}
+        doubles = [c for c in compile_channels(TopologySpec(nodes, bonds)) if c[2] == 2]
+        assert {(src, dst) for src, dst, _ in doubles} == {("C0", "C1"), ("C1", "C0")}
 
     def test_ring_is_unidirectional(self):
         channels = compile_channels(ring_topology(8, {0, 3}))
         assert len(channels) == 8
-        pairs = {(c.src, c.dst) for c in channels}
+        pairs = {(src, dst) for src, dst, _ in channels}
         assert all((dst, src) not in pairs for src, dst in pairs)
 
     def test_invalid_spec_raises_with_violations(self):
@@ -287,7 +287,7 @@ class TestCompileChannels:
         assert err.value.violations
 
     def test_symmetric_channels_for_hydrocarbons(self):
-        table = {(c.src, c.dst): c.batch_size for c in compile_channels(ethane_topology("S"))}
+        table = {(src, dst): multiplicity for src, dst, multiplicity in compile_channels(ethane_topology("S"))}
         for (src, dst), batch in table.items():
             assert table[(dst, src)] == batch
 
