@@ -7,9 +7,9 @@ Each instance scores a genome through a tally: an additive summary from
 which its fitness follows exactly. `tally(genome)` computes it,
 `flip(tally, genome, positions)` gives it for flipped bits without
 touching the tally or the genome, and `fitness_of(tally)` maps it to the
-fitness. `evaluate(genome)` is defined as `fitness_of(tally(genome))`, so
-the annealer, which scores its moves from a kept tally, and a full
-evaluation give the same float.
+fitness. `evaluate(genome)` equals `fitness_of(tally(genome))`, so the
+annealer, which scores its moves from a kept tally, and a full evaluation
+give the same float.
 """
 
 from __future__ import annotations
@@ -41,6 +41,16 @@ MMDP_BLOCK_BITS = 6
 #: crosses a byte.
 _SIX_ONES = 0x01_01_01_01_01_01
 
+#: High and low byte of each subfunction value over 64 (a 14-bit integer), by
+#: unitation. Entries 7-255 are 0; a genome of 0/1 bytes never yields them.
+_HI = bytes(m // 64 >> 8 for m in _MMDP_MILLIONTHS).ljust(256, b"\0")
+_LO = bytes(m // 64 & 255 for m in _MMDP_MILLIONTHS).ljust(256, b"\0")
+
+
+def _block_sum(u: bytes) -> int:
+    """Exact subfunction sum in millionths over the unitations `u`."""
+    return (sum(u.translate(_HI)) * 256 + sum(u.translate(_LO))) * 64
+
 
 def random_genome(length: int, rng) -> Genome:
     """Uniformly random working genome of the given length."""
@@ -67,23 +77,25 @@ class MmdpInstance:
 
     def evaluate(self, genome: Genome) -> float:
         """Sum of the deception subfunction over consecutive disjoint 6-bit
-        blocks."""
-        return self.fitness_of(self.tally(genome))
+        blocks; equals `fitness_of(tally(genome))` but builds no tally list."""
+        return _block_sum(self._unitations(genome)) / 1e6
 
     def tally(self, genome: Genome) -> list[int]:
         """The unitation of each 6-bit block, followed by the sum of their
-        subfunction values in millionths, as one list of k + 1 ints.
+        subfunction values in millionths, as one list of k + 1 ints."""
+        u = self._unitations(genome)
+        return [*u, _block_sum(u)]
 
-        One big-integer multiply by `_SIX_ONES` sums every block at once.
+    def _unitations(self, genome: Genome) -> bytes:
+        """The unitation of each 6-bit block, one byte each, from one
+        big-integer multiply by `_SIX_ONES` that sums every block at once.
         The genome must hold one byte per bit: bytes, bytearray, or a uint8
         or bool array, which `bytes()` copies even from a non-contiguous view."""
         data = bytes(genome)
         if len(data) != self.length:
             raise ValueError(f"genome of {len(data)} bytes != {self.length}, one byte per bit (k={self.k})")
         spread = int.from_bytes(data, "little") * _SIX_ONES
-        out = list(spread.to_bytes(self.length + 6, "little")[5 : self.length : 6])
-        out.append(sum(map(_MMDP_MILLIONTHS.__getitem__, out)))
-        return out
+        return spread.to_bytes(self.length + 6, "little")[5 : self.length : 6]
 
     def flip(self, tally: list[int], genome: Genome, positions) -> list[int]:
         """Tally of `genome` with the distinct `positions` flipped, as a new

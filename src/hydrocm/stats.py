@@ -27,7 +27,10 @@ def mean_std(sample) -> tuple[float, float]:
     mean = sum(xs) / n
     if n == 1:
         return mean, 0.0
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1)
+    try:
+        var = sum((x - mean) ** 2 for x in xs) / (n - 1)
+    except OverflowError:  # a deviation past about 1e154 squares beyond the float range
+        var = math.inf
     return mean, math.sqrt(var)
 
 

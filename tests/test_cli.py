@@ -608,6 +608,16 @@ class TestReport:
         header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
         assert row[header.index("speedup")] == "*"
 
+    def test_huge_elapsed_ms_reports_inf_deviation(self, tmp_path, capsys):
+        # finite cells whose deviations square past the float range
+        path = tmp_path / "r.csv"
+        path.write_text("seed,evaluations,elapsed_ms,best,success\n1,10,1e200,5.0,1\n2,10,0.0,5.0,1\n")
+        assert main(["report", str(path)]) == 0
+        out, err = capsys.readouterr()
+        header, row = (line.split(",") for line in out.splitlines())
+        assert (row[header.index("time_mean")], row[header.index("time_std")]) == ("5e+199", "inf")
+        assert "Traceback" not in err
+
     def test_malformed_record_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("seed,evaluations,elapsed_ms,best,success\n1,2\n")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from hydrocm.ga import GaParams, init_population
 from hydrocm.problems import (
+    _MMDP_MILLIONTHS,
     WEIGHT_MAX,
+    _block_sum,
     MmdpInstance,
     SubsetSumInstance,
     generate_ssp_instance,
@@ -90,14 +92,27 @@ def oracle_tally(g, k):
     return out + [sum(MILLIONTHS[u] for u in out)]
 
 
+def assert_kernel_agrees(inst, g):
+    """`tally` equals the oracle, and `evaluate`, which builds no tally,
+    gives the same float as `fitness_of(tally(g))` and the oracle's sum."""
+    expected = oracle_tally(g, inst.k)
+    assert inst.tally(g) == expected
+    assert inst.evaluate(g).hex() == inst.fitness_of(inst.tally(g)).hex() == (expected[-1] / 1e6).hex()
+
+
 class TestTallyKernel:
-    """`MmdpInstance.tally` sums every block with one big-integer multiply;
-    it must agree with plain per-block sums on any layout of the genome."""
+    """`MmdpInstance` sums every block with one big-integer multiply and
+    every subfunction value with two byte-table translations; both must
+    agree with plain per-block sums on any layout of the genome."""
+
+    @pytest.mark.parametrize("u", range(7))
+    def test_block_sum_of_one_unitation_is_the_table_value(self, u):
+        assert _block_sum(bytes([u])) == _MMDP_MILLIONTHS[u] == MILLIONTHS[u]
 
     @given(st.integers(1, 40), st.data())
     def test_equals_block_sums(self, k, data):
         g = np.array(data.draw(st.lists(st.integers(0, 1), min_size=6 * k, max_size=6 * k)), dtype=np.uint8)
-        assert MmdpInstance(k=k).tally(g) == oracle_tally(g, k)
+        assert_kernel_agrees(MmdpInstance(k=k), g)
 
     @pytest.mark.parametrize("k", [100, 1000])
     def test_equals_block_sums_at_large_k(self, k):
@@ -105,7 +120,7 @@ class TestTallyKernel:
         genomes = [np.zeros(inst.length, np.uint8), np.ones(inst.length, np.uint8)]
         genomes += [(rng.random(inst.length) < p).astype(np.uint8) for p in (0.1, 0.5, 0.9) for _ in range(10)]
         for g in genomes:
-            assert inst.tally(g) == oracle_tally(g, k)
+            assert_kernel_agrees(inst, g)
 
     @pytest.mark.parametrize("k", [1, 5, 25])
     def test_non_contiguous_view(self, k):

@@ -52,6 +52,9 @@ class TestMeanStd:
     def test_singleton_convention(self):
         assert mean_std([7]) == (7.0, 0.0)
 
+    def test_deviation_squared_past_the_float_range_is_inf(self):
+        assert mean_std([1e200, 0.0]) == (5e199, math.inf)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_std([])
