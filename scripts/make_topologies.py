@@ -6,11 +6,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hydrocm.topology import ethane_topology, ring_topology, save_topology
+from hydrocm.topology import ethane_topology, panmictic_topology, ring_topology, save_topology
 
 out = Path(__file__).resolve().parent.parent / "topologies"
 out.mkdir(exist_ok=True)
-save_topology(ethane_topology("G"), out / "ethane_g.topology")
-save_topology(ethane_topology("S"), out / "ethane_s.topology")
-save_topology(ring_topology(8, [0, 3]), out / "ring8.topology")
-print(f"wrote {out}/ethane_g.topology, ethane_s.topology, ring8.topology")
+specs = {
+    "ethane_g": ethane_topology("G"),
+    "ethane_s": ethane_topology("S"),
+    "ring8": ring_topology(8, [0, 3]),
+    "panmictic_ssga": panmictic_topology("ssga"),
+    "panmictic_sa": panmictic_topology("sa"),
+}
+for name, spec in specs.items():
+    save_topology(spec, out / f"{name}.topology")
+print(f"wrote {', '.join(f'{name}.topology' for name in specs)} to {out}")

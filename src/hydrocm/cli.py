@@ -12,13 +12,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .engine import RunConfig, run_experiment
-from .ga import GaParams, check_real
+from .ga import GaParams
 from .problems import MmdpInstance, SubsetSumInstance, generate_ssp_instance, save_instance
 from .records import DECIMAL, read_records, write_records, write_trace
 from .sa import SaParams
 from .stats import SUMMARY_COLUMNS, mann_whitney_u, speedup, summary_cells
 from .topology import (
-    DEFAULT_SLOW_FACTOR,
     TopologyValidationError,
     ethane_topology,
     load_topology,
@@ -43,9 +42,6 @@ SETUPS = {
     "panmictic_sa": ("kind",),
     "custom": ("kind", "topology"),
 }
-#: The setups whose slow nodes run at the config's `slow_factor`; for the
-#: others (speeds from a file, or one node at 1.0) the key is an error.
-SLOW_FACTOR_SETUPS = ("ethane_g", "ethane_s", "ring")
 
 #: Every top-level key an experiment config may hold. `mode` is kept so that
 #: existing configs load; `virtual` is its only value.
@@ -58,7 +54,6 @@ CONFIG_KEYS = (
     "master_seed",
     "migration_frequency",
     "migration_count",
-    "slow_factor",
     "ga",
     "sa",
 )
@@ -121,7 +116,7 @@ def _build_problem(data):
     return generate_ssp_instance(n, seed), f"ssp_n{n}_s{seed}"
 
 
-def _build_setup(data, slow_factor: float, cfg_dir: Path):
+def _build_setup(data, cfg_dir: Path):
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("setup", "expected a mapping with a 'kind'")
     kind = data["kind"]
@@ -129,9 +124,9 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
         raise ConfigError("setup.kind", f"must be one of {tuple(SETUPS)}, got {kind!r}")
     _reject_unknown_keys(data, SETUPS[kind], "setup.")
     if kind == "ethane_g":
-        return kind, ethane_topology("G", slow_factor)
+        return kind, ethane_topology("G")
     if kind == "ethane_s":
-        return kind, ethane_topology("S", slow_factor)
+        return kind, ethane_topology("S")
     if kind == "ring":
         n = _as_int(data.get("n", 8), "setup.n", minimum=2)
         positions = data.get("fast_positions", [0, 3])
@@ -139,7 +134,7 @@ def _build_setup(data, slow_factor: float, cfg_dir: Path):
             raise ConfigError("setup.fast_positions", f"expected a list of integers, got {positions!r}")
         positions = [_as_int(p, "setup.fast_positions") for p in positions]
         try:
-            topo = ring_topology(n, positions, slow_factor)
+            topo = ring_topology(n, positions)
         except ValueError as exc:
             raise ConfigError("setup.fast_positions", str(exc)) from None
         return kind, topo
@@ -186,16 +181,8 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     if data.get("mode", "virtual") != "virtual":
         raise ConfigError("mode", f"must be 'virtual', got {data['mode']!r}")
 
-    try:
-        slow_factor = check_real("slow_factor", data.get("slow_factor", DEFAULT_SLOW_FACTOR))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("slow_factor", str(exc)) from None
-    if slow_factor <= 0:
-        raise ConfigError("slow_factor", f"must be positive, got {slow_factor!r}")
     problem, problem_label = _build_problem(_require(data, "problem"))
-    setup, topology = _build_setup(_require(data, "setup"), slow_factor, path.parent)
-    if "slow_factor" in data and setup not in SLOW_FACTOR_SETUPS:
-        raise ConfigError("slow_factor", f"setup {setup!r} does not read it")
+    setup, topology = _build_setup(_require(data, "setup"), path.parent)
     ga, sa = _build_params(data, "ga", GaParams), _build_params(data, "sa", SaParams)
     budget = _as_int(_require(data, "budget"), "budget", minimum=1)
     repetitions = _as_int(data.get("repetitions", 100), "repetitions", minimum=1)

@@ -51,8 +51,8 @@ class GaParams:
             raise ValueError(f"p_crossover must be in [0,1], got {self.p_crossover}")
         if self.p_mutation_per_bit is not None and not 0.0 <= self.p_mutation_per_bit <= 1.0:
             raise ValueError("p_mutation_per_bit must be in [0,1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
+        if not 1 <= self.tournament_size <= self.pop_size:
+            raise ValueError(f"tournament_size must be in [1, pop_size {self.pop_size}], got {self.tournament_size}")
 
     def resolved_for(self, length: int) -> "GaParams":
         """Fill the length-dependent mutation rate if left unset."""

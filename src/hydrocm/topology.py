@@ -27,8 +27,9 @@ ALGORITHMS = (SSGA, SA)
 KIND_HYDROCARBON = "hydrocarbon"
 KIND_RING = "ring"
 
-#: Default speed emulation factor for the slow node class, roughly the
-#: single-core gap between the fast and slow hardware tiers it stands for.
+#: Speed of the slow node class in the built-in setups and shipped files,
+#: roughly the single-core gap between the fast and slow hardware tiers it
+#: stands for; another speed is a topology file's `speed_factor`.
 DEFAULT_SLOW_FACTOR = 0.35
 
 

@@ -19,6 +19,7 @@ from hydrocm.records import RECORD_HEADER, read_records
 from hydrocm.sa import SaParams
 from hydrocm.stats import speedup
 from hydrocm.topology import (
+    DEFAULT_SLOW_FACTOR,
     BondSpec,
     NodeSpec,
     TopologySpec,
@@ -304,12 +305,13 @@ class TestRun:
 
     @pytest.mark.parametrize("value", ["fast", float("nan"), float("inf"), 0, True, pytest.param(10**400, id="10**400")])
     def test_bad_slow_factor_is_config_error(self, tmp_path, capsys, value):
+        # node speeds come from the topology alone: the key is unknown
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_g"}, slow_factor=value)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config field 'slow_factor'" in capsys.readouterr().err
+        assert "config field 'slow_factor': unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "setup, reads_it",
+        "setup, builds_slow_nodes",
         [
             ({"kind": "ethane_g"}, True),
             ({"kind": "ethane_s"}, True),
@@ -320,14 +322,16 @@ class TestRun:
         ],
         ids=lambda v: v["kind"] if isinstance(v, dict) else str(v),
     )
-    def test_slow_factor_only_where_read(self, tmp_path, capsys, setup, reads_it):
+    def test_slow_factor_only_where_read(self, tmp_path, capsys, setup, builds_slow_nodes):
+        # no setup reads `slow_factor`; a built-in kind with slow nodes runs
+        # them at DEFAULT_SLOW_FACTOR, and any other speed is a topology file
         cfg = write_config(tmp_path / "exp.yaml", setup=setup, slow_factor=0.5, repetitions=1, budget=2_000)
-        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        if reads_it:
-            assert rc == 0
-        else:
-            assert rc == 2
-            assert "config field 'slow_factor'" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'slow_factor': unknown key" in capsys.readouterr().err
+        if builds_slow_nodes:
+            plain = write_config(tmp_path / "plain.yaml", setup=setup)
+            speeds = {n.speed_factor for n in load_experiment_config(plain).run.topology.nodes}
+            assert speeds == {1.0, DEFAULT_SLOW_FACTOR}
 
     @pytest.mark.parametrize(
         "flags, flag, value",
@@ -404,6 +408,14 @@ class TestRun:
         cfg = write_config(tmp_path / "exp.yaml", setup=setup, **{section: {key: value}})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{section}': {key} must be" in capsys.readouterr().err
+
+    def test_tournament_larger_than_population_is_config_error(self, tmp_path, capsys):
+        # a tournament draws with replacement, so a size past the population
+        # only repeats draws; unchecked, 10**400 would keep the first ssGA
+        # step drawing for minutes
+        cfg = write_config(tmp_path / "exp.yaml", ga={"tournament_size": 10**400})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'ga': tournament_size must be in [1, pop_size 64]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sa", [{"schedule": "geometric", "schedule_rate": 0.9}, {"t0": 1.0e-320}], ids=["geometric-0.9", "t0-subnormal"]
@@ -720,19 +732,31 @@ class TestValidateTopology:
     def test_shipped_ethane_files_valid(self, tmp_path, capsys):
         # what scripts/make_topologies.py writes, byte for byte; a file that
         # drifted from its generator, or a writer that reorders or reformats
-        # a key, fails here
+        # a key, fails here. Each comes with the built-in setup kinds it
+        # stands for: a config naming the kind loads the same topology as a
+        # `custom` config naming the file
         generated = {
-            "ethane_g.topology": ethane_topology("G"),
-            "ethane_s.topology": ethane_topology("S"),
-            "ring8.topology": ring_topology(8, [0, 3]),
+            "ethane_g.topology": (ethane_topology("G"), [{"kind": "ethane_g"}]),
+            "ethane_s.topology": (ethane_topology("S"), [{"kind": "ethane_s"}]),
+            "ring8.topology": (
+                ring_topology(8, [0, 3]),
+                [{"kind": "ring"}, {"kind": "ring", "n": 8, "fast_positions": [0, 3]}],
+            ),
+            "panmictic_ssga.topology": (panmictic_topology("ssga"), [{"kind": "panmictic_ssga"}]),
+            "panmictic_sa.topology": (panmictic_topology("sa"), [{"kind": "panmictic_sa"}]),
         }
-        for name, spec in generated.items():
+        for name, (spec, setups) in generated.items():
             path = REPO_ROOT / "topologies" / name
             assert main(["validate-topology", str(path)]) == 0
             assert "valid" in capsys.readouterr().out
             assert load_topology(path) == spec
             save_topology(spec, tmp_path / name)
             assert (tmp_path / name).read_bytes() == path.read_bytes()
+            custom = write_config(tmp_path / "custom.yaml", setup={"kind": "custom", "topology": str(path)})
+            assert load_experiment_config(custom).run.topology == spec
+            for setup in setups:
+                builtin = write_config(tmp_path / "builtin.yaml", setup=setup)
+                assert load_experiment_config(builtin).run.topology == spec
 
     def test_pentavalent_carbon_rejected(self, tmp_path, capsys):
         doc = {
@@ -914,8 +938,7 @@ class TestExitCodeFuzz:
 
     The pool holds no large integer: `k: 10**9`, `n: 10**9` or
     `pop_size: 10**9` is valid input that allocates a huge genome or
-    population, and `tournament_size: 10**9` is valid input that draws for
-    minutes, so no exit code would come back in time."""
+    population, so no exit code would come back in time."""
 
     DIRECTORY, MISSING = "<a directory>", "<a missing file>"
     POOL = (-1, 0, math.nan, math.inf, -math.inf, True, "x", [1, 2], {"x": 1}, None, DIRECTORY, MISSING)

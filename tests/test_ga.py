@@ -47,6 +47,8 @@ class TestGaParams:
             ({"p_crossover": -0.1}, "p_crossover"),
             ({"p_crossover": 1.5}, "p_crossover"),
             ({"tournament_size": 0}, "tournament_size"),
+            ({"tournament_size": 65}, "tournament_size"),
+            ({"tournament_size": 10**400}, "tournament_size"),
         ],
     )
     def test_out_of_range_rejected(self, kwargs, field):
