@@ -212,14 +212,9 @@ def cmd_run(args) -> int:
         overrides["repetitions"] = args.reps
     if args.budget is not None:
         overrides["budget"] = args.budget
-    try:
-        cfg = load_experiment_config(args.config, overrides)
-    except (ConfigError, MemoryError) as exc:  # a size too large to allocate is an input error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
     out_dir = Path(args.out or "runs")
     try:
+        cfg = load_experiment_config(args.config, overrides)
         out_dir.mkdir(parents=True, exist_ok=True)
         traces_dir = out_dir / "traces"
         traces_dir.mkdir(exist_ok=True)
@@ -232,12 +227,12 @@ def cmd_run(args) -> int:
             rows.append(result)
             write_trace(traces_dir / f"rep{rep:04d}.trace", result.trace)
         write_records(out_dir / "records.csv", rows)
+    except (ConfigError, MemoryError) as exc:  # a size too large to allocate is an input error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
     print(",".join(["algorithm", "problem", *SUMMARY_COLUMNS]))
     print(",".join([cfg.setup, cfg.problem_label, *summary_cells(rows)]))

@@ -1,7 +1,7 @@
-"""Simulated annealing with Boltzmann acceptance and a very fast
-default cooling schedule (T_k = t0 / (1 + rate*k)); a geometric schedule
-is available behind the same interface. The framework maximizes fitness,
-so the acceptance exponent uses delta = f_current - f_candidate.
+"""Simulated annealing with Boltzmann acceptance and Szu and Hartley's
+fast cooling law, T_k = t0 / (1 + rate*k) ("Fast simulated annealing",
+Phys. Lett. A 122, 1987). The framework maximizes fitness, so the
+acceptance exponent uses delta = f_current - f_candidate.
 
 A move is a set of bit flips. It is scored from the problem's tally of
 the current solution (see `hydrocm.problems`) and applied to the current
@@ -18,34 +18,27 @@ import numpy as np
 from .ga import check_real, default_mutation_rate
 from .problems import Genome, random_genome
 
-SCHEDULES = ("fast", "geometric")
-
 #: Random genomes sampled to estimate the initial temperature when t0 is
 #: left unset; the estimate is the fitness standard deviation, which
 #: scales acceptance to the problem's fitness range.
 T0_SAMPLES = 100
 
-_MIN_TEMPERATURE = math.ulp(0.0)  # the smallest positive float, every schedule's floor
+_MIN_TEMPERATURE = math.ulp(0.0)  # the smallest positive float, the temperature's floor
 
 
 @dataclass(frozen=True)
 class SaParams:
     t0: float | None = None  # None estimates from T0_SAMPLES random genomes
-    schedule: str = "fast"
     schedule_rate: float = 1.0
     p_perturb_per_bit: float | None = None  # None resolves to 4/L
 
     def __post_init__(self):
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         check_real("schedule_rate", self.schedule_rate)
         for name in ("t0", "p_perturb_per_bit"):
             if getattr(self, name) is not None:
                 check_real(name, getattr(self, name))
         if self.schedule_rate <= 0:
             raise ValueError("schedule_rate must be positive")
-        if self.schedule == "geometric" and self.schedule_rate > 1.0:
-            raise ValueError("geometric schedule_rate must be in (0, 1]")
         if self.t0 is not None and self.t0 <= 0:
             raise ValueError("t0 must be positive")
         if self.p_perturb_per_bit is not None and not 0.0 < self.p_perturb_per_bit <= 1.0:
@@ -97,13 +90,10 @@ def accept(f_current: float, f_candidate: float, temperature: float, rng) -> boo
 
 
 def update_temperature(t0: float, step: int, params: SaParams) -> float:
-    """Temperature after `step` updates; non-increasing in `step` for both
-    schedules, and clamped at the smallest positive float so that a
-    schedule that underflows stays strictly positive; `SaState.step` >= 0."""
-    if params.schedule == "fast":
-        t = t0 / (1.0 + params.schedule_rate * step)
-    else:
-        t = t0 * params.schedule_rate**step
+    """Temperature after `step` updates; non-increasing in `step`, and
+    clamped at the smallest positive float so that a temperature that
+    underflows stays strictly positive; `SaState.step` >= 0."""
+    t = t0 / (1.0 + params.schedule_rate * step)
     return t if t > _MIN_TEMPERATURE else _MIN_TEMPERATURE
 
 

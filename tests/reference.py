@@ -227,11 +227,7 @@ class SaNode(Node):
         if self.accept(f):
             self.take(candidate, f)
         self.moves += 1
-        if p.schedule == "fast":
-            t = self.t0 / (1.0 + p.schedule_rate * self.moves)
-        else:
-            t = self.t0 * p.schedule_rate**self.moves
-        self.temperature = max(t, math.ulp(0.0))
+        self.temperature = max(self.t0 / (1.0 + p.schedule_rate * self.moves), math.ulp(0.0))
         return self.best
 
     def emigrant(self):

@@ -180,9 +180,9 @@ def test_criterion_7_invariant_suite(capsys):
         best = state.best[1]
     checks["sa best monotone"] = monotone
 
-    # temperature positive and non-increasing for both schedules
+    # temperature positive and non-increasing at two cooling rates
     temp_ok = True
-    for sched in (SaParams(schedule="fast", schedule_rate=0.9), SaParams(schedule="geometric", schedule_rate=0.999)):
+    for sched in (SaParams(schedule_rate=0.9), SaParams(schedule_rate=50.0)):
         prev = math.inf
         for k in range(1_000):
             t = update_temperature(7.5, k, sched)

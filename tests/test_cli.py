@@ -148,6 +148,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config field 'sa'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schedule", ["geometric", "fast"])
+    def test_sa_schedule_is_unknown_key(self, tmp_path, capsys, schedule):
+        # one cooling law, T_k = t0 / (1 + schedule_rate * k), so no key selects it
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "panmictic_sa"}, sa={"schedule": schedule})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'sa'" in err and "'schedule'" in err
+
     def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.yaml", migraton_frequency=7)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -418,10 +426,12 @@ class TestRun:
         assert "config field 'ga': tournament_size must be in [1, pop_size 64]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sa", [{"schedule": "geometric", "schedule_rate": 0.9}, {"t0": 1.0e-320}], ids=["geometric-0.9", "t0-subnormal"]
+        "sa",
+        [{"t0": 1.0e-300, "schedule_rate": 1.0e300}, {"t0": 1.0e-320}],
+        ids=["fast-rate-1e300", "t0-subnormal"],
     )
     def test_temperature_underflow_runs(self, tmp_path, sa):
-        # both schedules reach 0.0 within the budget unless the temperature is clamped
+        # both reach 0.0 within the budget unless the temperature is clamped
         cfg = write_config(
             tmp_path / "exp.yaml",
             problem={"kind": "mmdp", "k": 25},
@@ -960,7 +970,7 @@ class TestExitCodeFuzz:
         file alone and in a `custom` setup, and a records file as a list
         of rows."""
         docs = []
-        runs = {"repetitions": 1, "budget": 2_000, "ga": {"pop_size": 64}, "sa": {"schedule": "fast"}}
+        runs = {"repetitions": 1, "budget": 2_000, "ga": {"pop_size": 64}, "sa": {"schedule_rate": 1.0}}
         for path in sorted(DESK.glob("*/*.yaml")):
             docs.append(("run", yaml.safe_load(path.read_text()) | runs))
         for path in sorted((REPO_ROOT / "topologies").glob("*.topology")):

@@ -1,12 +1,15 @@
-"""Every function, class and method defined in `src/hydrocm/` has a caller
-in the shipped code: `src/hydrocm/`, `perfbench/` or `scripts/`. A helper
-that only tests reach belongs in `tests/conftest.py`, not in the package.
+"""Every function, class and method defined in `src/hydrocm/`, and every
+name a module assigns at its top level, has a caller or reader in the
+shipped code: `src/hydrocm/`, `perfbench/` or `scripts/`. A helper or
+constant that only tests reach belongs in `tests/conftest.py`, not in the
+package.
 
 The scan is by name, with `ast`. A reference is a name, the attribute of
 an attribute access, an imported name, or a part of a dotted string in
 `perfbench/` (the tracer binds functions as "Class.method" strings).
-References inside a definition's own body (recursion) do not count.
-Dunder methods are called by Python itself and are not checked.
+References inside a definition's own body (recursion), or inside the
+statement that assigns a name (the assigned name itself), do not count.
+Dunder methods and names are read by Python itself and are not checked.
 """
 
 import ast
@@ -41,11 +44,18 @@ def references(node: ast.AST, dotted_strings: bool) -> Counter:
 
 
 def definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods of those classes."""
+    """Top-level functions, classes and assigned names, and the methods of
+    those classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
+                        yield sub.id, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, defs) and not member.name.startswith("__"):
@@ -74,12 +84,11 @@ def package_definitions() -> dict:
 
 def test_every_package_definition_has_a_shipped_caller():
     total = shipped_references()
-    unreached = sorted(
-        name
-        for name, node in package_definitions().items()
-        if name not in ALLOWLIST
-        and total[node.name] <= references(node, dotted_strings=False)[node.name]
-    )
+    unreached = []
+    for name, node in package_definitions().items():
+        bare = name.rsplit(".", 1)[-1]
+        if name not in ALLOWLIST and total[bare] <= references(node, dotted_strings=False)[bare]:
+            unreached.append(name)
     assert unreached == [], f"reached only from tests (move them to tests/conftest.py): {unreached}"
 
 

@@ -37,12 +37,12 @@ PANMICTIC = {"panmictic_ssga": panmictic_topology("ssga"), "panmictic_sa": panmi
 #: the defaults' rare, single migrants
 MIGRATION = [(1, 9), (3, 1), (50, 1)]
 #: parameters off the defaults: small populations, a wider tournament,
-#: always or never crossing over, a fixed t0 and the geometric schedule
+#: always or never crossing over, a fixed t0 and other cooling rates
 PARAMS = {
     "defaults": (GaParams(), SaParams()),
     "varied": (
         GaParams(pop_size=8, p_crossover=1.0, tournament_size=3),
-        SaParams(t0=0.5, schedule="geometric", schedule_rate=0.999, p_perturb_per_bit=0.05),
+        SaParams(t0=0.5, schedule_rate=0.999, p_perturb_per_bit=0.05),
     ),
     "no-crossover": (GaParams(pop_size=5, p_crossover=0.0), SaParams(t0=2.0, schedule_rate=0.1)),
 }
