@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .engine import RunConfig, run_experiment
@@ -53,7 +53,6 @@ CONFIG_KEYS = (
     "mode",
     "master_seed",
     "migration_frequency",
-    "migration_count",
     "ga",
     "sa",
 )
@@ -153,11 +152,14 @@ def _build_setup(data, cfg_dir: Path):
 
 
 def _build_params(data: dict, key: str, cls):
-    """`cls` from the config's `key` mapping; an absent or null one gives
-    the defaults."""
+    """`cls` from the config's `key` mapping, whose keys must be fields of
+    `cls`; an absent or null one gives the defaults."""
     value = data.get(key)
     if value is None:
         return cls()
+    if not isinstance(value, dict):
+        raise ConfigError(key, f"expected a mapping, got {value!r}")
+    _reject_unknown_keys(value, [f.name for f in fields(cls)], f"{key}.")
     try:
         return cls(**value)
     except (TypeError, ValueError) as exc:
@@ -187,14 +189,9 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     budget = _as_int(_require(data, "budget"), "budget", minimum=1)
     repetitions = _as_int(data.get("repetitions", 100), "repetitions", minimum=1)
     seed = _as_int(data.get("master_seed", 0), "master_seed", minimum=0)
-    freq, count = (
-        _as_int(data.get(key, getattr(RunConfig, key)), key, minimum=1)
-        for key in ("migration_frequency", "migration_count")
-    )
+    freq = _as_int(data.get("migration_frequency", RunConfig.migration_frequency), "migration_frequency", minimum=1)
     try:
-        run = RunConfig(
-            topology, problem, budget, seed, migration_frequency=freq, migration_count=count, ga=ga, sa=sa
-        )
+        run = RunConfig(topology, problem, budget, seed, migration_frequency=freq, ga=ga, sa=sa)
     except TopologyValidationError as exc:  # a ValueError, so caught first
         raise ConfigError("setup.topology", str(exc)) from None
     except ValueError as exc:

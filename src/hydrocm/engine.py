@@ -31,7 +31,7 @@ class Channel(deque):
     """One-producer/one-consumer FIFO of `(genome, fitness)` migrants, whose
     `bytes` genomes sender and receiver share; appending to a full one
     drops the oldest (freshest-information bias). The sender appends `batch`
-    migrants per migration (bond multiplicity times `migration_count`) and
+    migrants per migration, the multiplicity of the channel's bond, and
     counts every one in `sent`."""
 
     def __init__(self, batch: int):
@@ -79,7 +79,6 @@ class RunConfig:
     evaluation_budget: int
     seed: int
     migration_frequency: int = 50
-    migration_count: int = 1
     ga: GaParams = GaParams()
     sa: SaParams = SaParams()
 
@@ -88,8 +87,6 @@ class RunConfig:
             raise ValueError("evaluation_budget must be >= 1")
         if self.migration_frequency < 1:
             raise ValueError("migration_frequency must be >= 1")
-        if self.migration_count < 1:
-            raise ValueError("migration_count must be >= 1")
         violations = validate_topology(self.topology)
         if violations:
             raise TopologyValidationError(violations)
@@ -219,7 +216,7 @@ def _build_islands(config: RunConfig) -> list[_Island]:
         by_id[node.id] = island
 
     for src, dst, multiplicity in channels:
-        channel = Channel(multiplicity * config.migration_count)
+        channel = Channel(multiplicity)
         by_id[src].out_channels.append(channel)
         by_id[dst].in_channels.append(channel)
     return islands

@@ -35,13 +35,10 @@ class GaParams:
     pop_size: int = 64
     p_crossover: float = 0.8
     p_mutation_per_bit: float | None = None  # None resolves to 4/L
-    tournament_size: int = 2
 
     def __post_init__(self):
-        for name in ("pop_size", "tournament_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.pop_size, bool) or not isinstance(self.pop_size, int):
+            raise TypeError(f"pop_size must be an integer, got {self.pop_size!r}")
         check_real("p_crossover", self.p_crossover)
         if self.p_mutation_per_bit is not None:
             check_real("p_mutation_per_bit", self.p_mutation_per_bit)
@@ -51,8 +48,6 @@ class GaParams:
             raise ValueError(f"p_crossover must be in [0,1], got {self.p_crossover}")
         if self.p_mutation_per_bit is not None and not 0.0 <= self.p_mutation_per_bit <= 1.0:
             raise ValueError("p_mutation_per_bit must be in [0,1]")
-        if not 1 <= self.tournament_size <= self.pop_size:
-            raise ValueError(f"tournament_size must be in [1, pop_size {self.pop_size}], got {self.tournament_size}")
 
     def resolved_for(self, length: int) -> "GaParams":
         """Fill the length-dependent mutation rate if left unset."""
@@ -111,18 +106,15 @@ def init_population(params: GaParams, problem, rng) -> Population:
     return Population(genomes, [problem.evaluate(g) for g in genomes])
 
 
-def _tournament_index(pop: Population, size: int, rng) -> int:
-    """Index of the fittest of `size` draws with replacement; ties keep the
-    first-drawn. Each draw is `int(u * n)` for one scalar uniform u from
+def _tournament_index(pop: Population, rng) -> int:
+    """Index of the fitter of two draws with replacement; a tie keeps the
+    first. Each draw is `int(u * n)` for one scalar uniform u from
     `rng.random()`."""
     fit = pop.fit
     n = len(fit)
-    best = int(rng.random() * n)
-    for _ in range(size - 1):
-        j = int(rng.random() * n)
-        if fit[j] > fit[best]:
-            best = j
-    return best
+    i = int(rng.random() * n)
+    j = int(rng.random() * n)
+    return j if fit[j] > fit[i] else i
 
 
 def one_point_crossover(a: Genome, b: Genome, p_crossover: float, rng) -> bytearray:
@@ -155,8 +147,8 @@ def _offspring_step(pop: Population, params: GaParams, problem, rng) -> float:
     Exactly one evaluation. The offspring replaces the current worst
     member iff it is not worse, so the population best is monotone.
     """
-    i = _tournament_index(pop, params.tournament_size, rng)
-    j = _tournament_index(pop, params.tournament_size, rng)
+    i = _tournament_index(pop, rng)
+    j = _tournament_index(pop, rng)
     rows = pop.rows
     child = one_point_crossover(rows[i], rows[j], params.p_crossover, rng)
     mutate(child, params.p_mutation_per_bit, rng)

@@ -156,12 +156,9 @@ class GaNode(Node):
         self.fit[w] = f
 
     def tournament(self) -> int:
-        best = self.rng.pick(len(self.fit))
-        for _ in range(self.params.tournament_size - 1):
-            j = self.rng.pick(len(self.fit))
-            if self.fit[j] > self.fit[best]:
-                best = j
-        return best
+        i = self.rng.pick(len(self.fit))
+        j = self.rng.pick(len(self.fit))
+        return j if self.fit[j] > self.fit[i] else i
 
     def step(self) -> float:
         p, rng = self.params, self.rng
@@ -259,7 +256,7 @@ def run(config) -> dict:
     for bond in spec.bonds:
         links = [(bond.a, bond.b)] if spec.kind == "ring" else [(bond.a, bond.b), (bond.b, bond.a)]
         for src, dst in links:
-            channel = Channel(bond.multiplicity * config.migration_count)
+            channel = Channel(bond.multiplicity)
             by_id[src].outgoing.append(channel)
             by_id[dst].incoming.append(channel)
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import math
+import re
 import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -154,7 +155,34 @@ class TestRun:
         cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "panmictic_sa"}, sa={"schedule": schedule})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config field 'sa'" in err and "'schedule'" in err
+        assert "config field 'sa.schedule': unknown key" in err
+
+    @pytest.mark.parametrize(
+        "option, fieldname",
+        [({"migration_count": 1}, "migration_count"), ({"ga": {"tournament_size": 2}}, "ga.tournament_size")],
+        ids=["migration_count", "tournament_size"],
+    )
+    def test_retired_key_is_unknown_key(self, tmp_path, capsys, option, fieldname):
+        # a bond's multiplicity is its migration batch and a tournament is
+        # binary, so no key sets either, not even to its old default
+        cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "ethane_g"}, **option)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{fieldname}': unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["ga", "sa"])
+    def test_params_must_be_a_mapping(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path / "exp.yaml", **{section: 5})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{section}': expected a mapping, got 5" in capsys.readouterr().err
+
+    def test_float_needs_a_dot_and_a_signed_exponent(self, tmp_path, capsys):
+        # YAML 1.1, which PyYAML reads, takes `1e-3` for a string
+        for t0, code in (("1e-3", 2), ("1.0e-3", 0)):
+            cfg = write_config(tmp_path / "exp.yaml", setup={"kind": "panmictic_sa"}, repetitions=1, budget=2_000)
+            cfg.write_text(cfg.read_text() + f"sa: {{t0: {t0}}}\n")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+            err = capsys.readouterr().err
+            assert ("config field 'sa': t0 must be a real number, got '1e-3'" in err) == (code == 2)
 
     def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.yaml", migraton_frequency=7)
@@ -179,11 +207,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "field, value",
         [
-            *(pytest.param(f, 2.7, id=f) for f in ("migration_count", "budget", "repetitions")),
+            *(pytest.param(f, 2.7, id=f) for f in ("migration_frequency", "budget", "repetitions")),
             # the string of a value test_integral_number_accepted runs with
             *(
                 pytest.param(f, "1000" if f == "budget" else "2", id=f"{f}-string")
-                for f in ("migration_count", "budget", "repetitions")
+                for f in ("migration_frequency", "budget", "repetitions")
             ),
         ],
     )
@@ -192,7 +220,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["migration_count", "budget", "repetitions"])
+    @pytest.mark.parametrize("field", ["migration_frequency", "budget", "repetitions"])
     def test_integral_number_accepted(self, tmp_path, field):
         # a budget must also pay for initializing ethane_s (586 evaluations)
         value = 1_000 if field == "budget" else 2
@@ -200,8 +228,8 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_integral_float_reads_as_its_integer(self, tmp_path):
-        cfg = load_experiment_config(write_config(tmp_path / "exp.yaml", budget=2000.0, migration_count=2.0))
-        got = (cfg.run.evaluation_budget, cfg.run.migration_count)
+        cfg = load_experiment_config(write_config(tmp_path / "exp.yaml", budget=2000.0, migration_frequency=2.0))
+        got = (cfg.run.evaluation_budget, cfg.run.migration_frequency)
         assert got == (2000, 2) and all(type(v) is int for v in got)
 
     @pytest.mark.parametrize(
@@ -280,7 +308,7 @@ class TestRun:
         "ga",  # the config entry, one `ga` or `sa` key and its value
         [
             {"ga": {"pop_size": 2.5}},
-            {"ga": {"tournament_size": 1.5}},
+            {"ga": {"pop_size": 64.0}},
             {"ga": {"pop_size": True}},
             {"ga": []},
             {"sa": "x"},
@@ -418,12 +446,10 @@ class TestRun:
         assert f"config field '{section}': {key} must be" in capsys.readouterr().err
 
     def test_tournament_larger_than_population_is_config_error(self, tmp_path, capsys):
-        # a tournament draws with replacement, so a size past the population
-        # only repeats draws; unchecked, 10**400 would keep the first ssGA
-        # step drawing for minutes
+        # a tournament is binary, so any size, however large, is an unknown key
         cfg = write_config(tmp_path / "exp.yaml", ga={"tournament_size": 10**400})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config field 'ga': tournament_size must be in [1, pop_size 64]" in capsys.readouterr().err
+        assert "config field 'ga.tournament_size': unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sa",
@@ -457,6 +483,13 @@ class TestRun:
     def test_exit_zero_even_with_failures(self, tmp_path):
         cfg = write_config(tmp_path / "exp.yaml", problem={"kind": "mmdp", "k": 6}, budget=200, repetitions=2)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_readme_params_table_lists_every_field():
+    # the README's `ga.*` and `sa.*` rows name the parameter fields in order
+    rows = re.findall(r"^\| `(ga|sa)\.(\w+)` \|", (REPO_ROOT / "README.md").read_text(), re.MULTILINE)
+    for section, cls in (("ga", GaParams), ("sa", SaParams)):
+        assert [name for key, name in rows if key == section] == [f.name for f in fields(cls)]
 
 
 class TestOutputIoFailure:

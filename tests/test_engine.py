@@ -26,6 +26,8 @@ from hydrocm.topology import (
     ring_topology,
 )
 
+import reference
+
 
 def migrant(i):
     return bytes([i]), float(i)
@@ -190,16 +192,22 @@ class TestMigrantsNeverRaiseTheBest:
     immigrant can raise it and `run_experiment` checks nothing after a
     migration."""
 
-    @pytest.mark.parametrize("freq, count", [(1, 9), (3, 1)])
+    # every iteration with slow nodes at a tenth of the fast ones' speed, so
+    # channels overflow and drop migrants; and every third at the default speed
+    @pytest.mark.parametrize("freq, slow", [(1, 0.1), (3, 0.35)])
     @pytest.mark.parametrize(
         "problem", [MmdpInstance(k=6), generate_ssp_instance(64, seed=7)], ids=["mmdp6", "ssp64"]
     )
     @pytest.mark.parametrize(
         "topology",
-        [ethane_topology("G"), ethane_topology("S"), ring_topology(8, {0, 3})],
+        [
+            lambda slow: ethane_topology("G", slow),
+            lambda slow: ethane_topology("S", slow),
+            lambda slow: ring_topology(8, {0, 3}, slow),
+        ],
         ids=["ethane_g", "ethane_s", "ring8"],
     )
-    def test_migrant_within_the_running_best(self, topology, problem, freq, count, monkeypatch):
+    def test_migrant_within_the_running_best(self, topology, problem, freq, slow, monkeypatch):
         best = [-math.inf]  # the running max over every initialize and step
         applied = [0]
 
@@ -229,12 +237,11 @@ class TestMigrantsNeverRaiseTheBest:
             best[0] = -math.inf
             res = run_experiment(
                 RunConfig(
-                    topology=topology,
+                    topology=topology(slow),
                     problem=problem,
                     evaluation_budget=3_000,
                     seed=seed,
                     migration_frequency=freq,
-                    migration_count=count,
                 )
             )
             assert res.best == best[0]
@@ -254,7 +261,6 @@ class TestNoMutableGenomeIsShared:
             evaluation_budget=10**6,
             seed=5,
             migration_frequency=1,
-            migration_count=9,
         )
         islands = engine._build_islands(config)
         for island in islands:
@@ -414,9 +420,9 @@ class TestRunExperiment:
                 seed=0,
             )
 
-    @pytest.mark.parametrize("field", ["migration_frequency", "migration_count"])
+    @pytest.mark.parametrize("field", ["migration_frequency"])
     def test_migration_setting_below_one_rejected(self, field):
-        # the CLI rejects these under its own field names, so no config file reaches this check
+        # the CLI rejects it under its own field name, so no config file reaches this check
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             RunConfig(ethane_topology("G"), MmdpInstance(k=1), 1_000, 0, **{field: 0})
 
@@ -448,8 +454,8 @@ class TestRunExperiment:
         assert abs(slow - 0.35 * fast) <= 1 + 0.35
 
     def test_multiplicity_sets_migration_batch(self):
-        """Every migration sends bond multiplicity x migration_count
-        emigrants down each of a node's channels."""
+        """Every migration sends as many emigrants down each of a node's
+        channels as the channel's bond has multiplicity."""
         nodes = (
             NodeSpec("C0", "carbon", "ssga", 1.0),
             NodeSpec("C1", "carbon", "ssga", 1.0),
@@ -467,7 +473,7 @@ class TestRunExperiment:
         )
         spec = TopologySpec(nodes, bonds)
         degree = spec.bond_degree()
-        for count, freq in ((1, 50), (2, 7)):
+        for freq in (50, 7):
             res = run_experiment(
                 RunConfig(
                     topology=spec,
@@ -475,50 +481,50 @@ class TestRunExperiment:
                     evaluation_budget=20_000,
                     seed=12,
                     migration_frequency=freq,
-                    migration_count=count,
                 )
             )
             assert not res.success
             for node_id, stats in res.per_island.items():
-                assert stats.emigrants_sent == (stats.iterations // freq) * count * degree[node_id]
+                assert stats.emigrants_sent == (stats.iterations // freq) * degree[node_id]
 
 
 class TestMigrationCounters:
-    """Every node's counters on small runs whose channels overflow
-    (`migration_count` 9) or whose SA drain halts at the budget, pinned to
-    the values of the send/poll channels that the bounded deques replaced.
-    `messages_dropped` is derived from the channels at the end of a run, so
-    these pins are what guard it. Stats tuples are (evaluations, iterations,
-    emigrants_sent, immigrants_received, messages_dropped)."""
+    """Every node's counters on small runs whose channels overflow or whose
+    SA drain halts at the budget, pinned to the values of
+    `tests/reference.py`. A channel overflows when its receiver drains it
+    less than once per 8 migrations of its sender: here the slow nodes run
+    at a tenth of the fast ones' speed. `messages_dropped` is derived from
+    the channels at the end of a run, so these pins are what guard it.
+    Stats tuples are (evaluations, iterations, emigrants_sent,
+    immigrants_received, messages_dropped)."""
 
     CASES = {
-        # topology, MMDP k, budget, migration_frequency, migration_count, seed
-        "ethane_g-overflow": (lambda: ethane_topology("G"), 6, 3_000, 3, 9, 1),
-        # an SA hub halts a drain with 24 evaluations of room left
-        "ethane_s-overflow-halt": (lambda: ethane_topology("S"), 6, 3_000, 1, 9, 2),
-        "ring8-overflow": (lambda: ring_topology(8, {0, 4}), 6, 3_000, 1, 9, 3),
+        # topology, MMDP k, budget, migration_frequency, seed
+        "ethane_g-overflow": (lambda: ethane_topology("G", 0.1), 6, 3_000, 3, 1),
+        # an SA hub halts a drain with 3 evaluations of room left
+        "ethane_s-overflow-halt": (lambda: ethane_topology("S", 0.1), 6, 2_980, 1, 2),
+        "ring8-overflow": (lambda: ring_topology(8, {0, 4}, 0.1), 6, 3_000, 1, 3),
         # an SA leaf halts a drain with 3 evaluations of room left
-        "ethane_g-halt": (lambda: ethane_topology("G"), 8, 1_040, 1, 1, 1_040),
+        "ethane_g-halt": (lambda: ethane_topology("G"), 8, 1_040, 1, 1_040),
     }
     EXPECTED = {
         "ethane_g-overflow": {
-            "C0": (301, 237, 2844, 1272, 160),
-            "C1": (301, 237, 2844, 1280, 160),
-            **{f"H{i}": (400, 83, 243, 216, 487) for i in range(4)},
-            "H4": (399, 82, 243, 216, 487),
-            "H5": (399, 82, 243, 216, 487),
+            "C0": (604, 540, 720, 230, 0),
+            "C1": (604, 540, 720, 231, 0),
+            **{f"H{i}": (299, 54, 18, 144, 36) for i in range(5)},
+            "H5": (297, 54, 18, 142, 36),
         },
         "ethane_s-overflow-halt": {
-            "C0": (1239, 66, 2376, 1072, 135),
-            "C1": (1239, 66, 2376, 1072, 135),
-            **{f"H{i}": (87, 23, 207, 184, 402) for i in range(6)},
+            "C0": (1160, 461, 1844, 598, 0),
+            "C1": (1160, 461, 1844, 598, 0),
+            **{f"H{i}": (110, 46, 46, 368, 92) for i in range(6)},
         },
         "ring8-overflow": {
-            **{f"N{i}": (276, 212, 1908, 1696, 212) for i in range(8)},
-            "N0": (672, 608, 5472, 1696, 212),
-            "N4": (672, 608, 5472, 1696, 212),
-            "N1": (276, 212, 1908, 1696, 3768),
-            "N5": (276, 212, 1908, 1696, 3768),
+            **{f"N{i}": (159, 95, 95, 95, 0) for i in range(8)},
+            "N0": (1023, 959, 959, 95, 0),
+            "N4": (1023, 959, 959, 95, 0),
+            "N1": (159, 95, 95, 760, 191),
+            "N5": (159, 95, 95, 760, 191),
         },
         "ethane_g-halt": {
             "C0": (95, 31, 124, 60, 0),
@@ -531,23 +537,23 @@ class TestMigrationCounters:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_per_node_counters(self, case):
-        topology, k, budget, freq, count, seed = self.CASES[case]
-        res = run_experiment(
-            RunConfig(
-                topology=topology(),
-                problem=MmdpInstance(k=k),
-                evaluation_budget=budget,
-                seed=seed,
-                migration_frequency=freq,
-                migration_count=count,
-            )
+        topology, k, budget, freq, seed = self.CASES[case]
+        config = RunConfig(
+            topology=topology(),
+            problem=MmdpInstance(k=k),
+            evaluation_budget=budget,
+            seed=seed,
+            migration_frequency=freq,
         )
+        res = run_experiment(config)
         assert not res.success and res.evaluations == budget
         got = {
             node: (s.evaluations, s.iterations, s.emigrants_sent, s.immigrants_received, s.messages_dropped)
             for node, s in res.per_island.items()
         }
         assert got == self.EXPECTED[case]
+        assert got == {node: tuple(s.values()) for node, s in reference.run(config)["per_island"].items()}
+        assert any(s.messages_dropped for s in res.per_island.values()) == ("overflow" in case)
         stats = res.per_island.values()
         received = sum(s.immigrants_received for s in stats)
         dropped = sum(s.messages_dropped for s in stats)
